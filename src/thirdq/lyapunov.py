@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import IllConditioned, NotStable, ResonantSpectrum
+from .errors import IllConditioned, NotStable, NumericalError, ResonantSpectrum
 from .spectral import (
     COND_WARN,
     DEFAULT_TOL_MARGINAL,
@@ -142,7 +142,8 @@ def solve(
 
     Refuses non-Stable spectra outright.  The Schur route takes over when
     the eigenbasis route is ill-conditioned or its certified residual misses
-    ``residual_tol``; whichever certified residual is smaller wins.
+    ``residual_tol``; whichever certified residual is smaller wins.  A
+    winner that still misses ``residual_tol`` raises :class:`NumericalError`.
     """
     if spectrum.stability is not Stability.STABLE:
         raise NotStable(
@@ -151,9 +152,15 @@ def solve(
     try:
         sol = solve_eigenbasis(X, Y, spectrum, tol_marginal=tol_marginal)
     except IllConditioned:
-        return solve_schur(X, Y, tol_marginal=tol_marginal)
+        sol = solve_schur(X, Y, tol_marginal=tol_marginal)
+    else:
+        if sol.residual > residual_tol:
+            fallback = solve_schur(X, Y, tol_marginal=tol_marginal)
+            if fallback.residual < sol.residual:
+                sol = fallback
     if sol.residual > residual_tol:
-        fallback = solve_schur(X, Y, tol_marginal=tol_marginal)
-        if fallback.residual < sol.residual:
-            return fallback
+        raise NumericalError(
+            f"Lyapunov residual {sol.residual:.3e} misses {residual_tol:.1e} "
+            f"({sol.method.value} route)"
+        )
     return sol

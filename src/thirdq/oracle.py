@@ -1,10 +1,11 @@
 """Brute-force ground truth on a truncated Fock space.
 
-For small systems the full master-equation generator is materialized as a
-dense matrix acting on column-vectorized density matrices and solved
-head-on: steady state from the null eigenvector, spectrum from a dense
-eigensolve, time evolution by exponentiation.  Nothing here shares code
-with the analytic pipeline, so agreement between the two certifies both.
+For small systems the full master-equation generator is assembled on
+column-vectorized density matrices and solved head-on, with no
+eigenvectors: steady state from a sparse shift-invert solve about zero,
+spectrum from dense eigenvalues only, time evolution by the action of the
+matrix exponential on one vector.  Nothing here shares code with the
+analytic pipeline, so agreement between the two certifies both.
 
 Vectorization convention, fixed project-wide: column stacking, so that
 vec(A rho B) = (B^T (x) A) vec(rho).  The generator of
@@ -17,6 +18,12 @@ then reads
            + sum_mu [ 2 conj(L_mu) (x) L_mu
                       - I (x) (L_mu† L_mu) - (L_mu† L_mu)^T (x) I ].
 
+Every stage works in one real representation of it.  The columns of the
+unitary ``U`` are the vec'd Hermitian matrices E_mm, (E_mn + E_nm)/sqrt(2)
+and i (E_mn - E_nm)/sqrt(2) (m < n), so a Hermitian rho has real
+coordinates x = U† vec(rho).  A Lindblad generator maps Hermitian matrices
+to Hermitian matrices, so M = U† Lmat U is real; it is checked to be.
+
 Truncation to ``cutoff`` levels per mode is an approximation; its quality is
 checked a posteriori through the population of the top Fock level.
 """
@@ -27,18 +34,22 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
 from .errors import (
     DegenerateZeroEigenvalue,
     DimensionCap,
+    InputError,
+    NumericalError,
     TruncationInsufficient,
 )
-from .model import BosonicModel, bath_matrices
+from .model import BosonicModel
 
 DEFAULT_MEMCAP = 4_000_000  # max entries of the dense generator matrix
-DENSE_EIG_DIM = 2500  # largest dim**2 for which a full dense eigensolve is used
+HERMITICITY_TOL = 1e-12  # max |Im M| relative to |Lmat|_F
 MEMCAP_ENV = "THIRDQ_MEMCAP"
 
 
@@ -96,13 +107,44 @@ def build_fock_operators(n: int, cutoff: int, memcap: int | None = None) -> Fock
     return FockOperators(n=n, cutoff=cutoff, a=tuple(ops))
 
 
+def hermitian_basis(dim: int) -> sp.csr_matrix:
+    """Unitary whose columns are the vec'd orthonormal Hermitian basis.
+
+    Columns 0..dim-1 are E_mm; then, for the pairs m < n in row-major
+    order, (E_mn + E_nm)/sqrt(2), then i (E_mn - E_nm)/sqrt(2).
+    """
+    m, n = np.triu_indices(dim, 1)
+    pairs = m.size
+    diag = np.arange(dim)
+    upper, lower = m + dim * n, n + dim * m  # vec indices of E_mn, E_nm
+    sym = dim + np.arange(pairs)
+    anti = sym + pairs
+    s = 1.0 / np.sqrt(2.0)
+    rows = np.concatenate([diag * (dim + 1), upper, lower, upper, lower])
+    cols = np.concatenate([diag, sym, sym, anti, anti])
+    vals = np.concatenate(
+        [
+            np.ones(dim, dtype=complex),
+            np.full(pairs, s, dtype=complex),
+            np.full(pairs, s, dtype=complex),
+            np.full(pairs, 1j * s),
+            np.full(pairs, -1j * s),
+        ]
+    )
+    return sp.csr_matrix((vals, (rows, cols)), shape=(dim * dim, dim * dim))
+
+
 class DenseLiouvillean:
     """The master-equation generator on vec'd density matrices.
 
-    The matrix is assembled sparse; the dense ``Lmat`` view and the full
-    eigendecomposition are materialized lazily and cached.  Instances are
-    not safe for concurrent mutation (the caches), but independent
-    instances may be used in parallel.
+    The matrix is assembled sparse.  On construction it is also written in
+    the Hermitian basis ``U`` (see :func:`hermitian_basis`) as the real
+    sparse matrix ``M = U† Lmat U``, which every stage of the oracle uses;
+    a generator whose ``M`` is not real to ``HERMITICITY_TOL`` times
+    ``|Lmat|_F`` does not preserve Hermiticity and raises
+    :class:`NumericalError`.  The dense ``Lmat`` view is materialized
+    lazily and cached.  Instances are not safe for concurrent mutation (the
+    cache), but independent instances may be used in parallel.
     """
 
     def __init__(self, ops: FockOperators, Lsp: sp.spmatrix):
@@ -110,7 +152,17 @@ class DenseLiouvillean:
         self.dim = ops.dim
         self._Lsp = Lsp.tocsr()
         self._dense: np.ndarray | None = None
-        self._eig: tuple[np.ndarray, np.ndarray] | None = None
+        self.U = hermitian_basis(self.dim)
+        M = self.U.conj().T @ self._Lsp @ self.U
+        scale = scipy.sparse.linalg.norm(self._Lsp)
+        imag = np.abs(M.data.imag).max(initial=0.0)
+        if imag > HERMITICITY_TOL * scale:
+            raise NumericalError(
+                f"generator does not preserve Hermiticity: |Im M| = {imag:.3e} "
+                f"against |Lmat|_F = {scale:.3e}"
+            )
+        self.M = M.real.tocsc()
+        self.M.eliminate_zeros()
 
     @property
     def Lmat(self) -> np.ndarray:
@@ -121,12 +173,6 @@ class DenseLiouvillean:
     @property
     def Lmat_sparse(self) -> sp.csr_matrix:
         return self._Lsp
-
-    def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._eig is None:
-            w, R = np.linalg.eig(self.Lmat)
-            self._eig = (w, R)
-        return self._eig
 
     def trace_preservation_residual(self) -> float:
         """|vec(I)† Lmat| / |Lmat|_F; zero for any Lindblad generator."""
@@ -232,45 +278,36 @@ def _top_level_populations(ops: FockOperators, rho: np.ndarray) -> np.ndarray:
 def oracle_steady_state(
     lio: DenseLiouvillean, top_level_tol: float = 1e-8
 ) -> OracleSteadyState:
-    """Steady state from the eigenvector at the eigenvalue nearest zero.
+    """Steady state from a sparse shift-invert solve of ``M`` about zero.
 
-    The vector is reshaped, Hermitized and trace-normalized.  A second
-    eigenvalue indistinguishable from zero raises
-    :class:`DegenerateZeroEigenvalue` (no unique steady state); a top-level
-    Fock population above ``top_level_tol`` raises
+    The two eigenvalues of ``M`` nearest a tiny shift are found by ARPACK
+    from the fixed start vector vec(I); the one nearest zero gives the
+    null vector, which is scaled to unit trace and mapped back to a
+    Hermitian matrix.  A second eigenvalue indistinguishable from zero
+    raises :class:`DegenerateZeroEigenvalue` (no unique steady state); a
+    top-level Fock population above ``top_level_tol`` raises
     :class:`TruncationInsufficient` because the reported moments would be
     dominated by truncation bias.
     """
     dim = lio.dim
-    if dim * dim <= DENSE_EIG_DIM:
-        w, R = lio.eig()
-        order = np.argsort(np.abs(w))
-        scale = max(1.0, float(np.abs(w).max()))
-        if len(w) > 1 and np.abs(w[order[1]]) < 1e-9 * scale:
-            raise DegenerateZeroEigenvalue(
-                f"two eigenvalues within {np.abs(w[order[1]]):.3e} of zero"
-            )
-        lam = w[order[0]]
-        vec = R[:, order[0]]
-    else:
-        # shift-invert about a tiny nonzero shift; the zero mode dominates
-        vals, vecs = scipy.sparse.linalg.eigs(
-            lio.Lmat_sparse.tocsc(), k=2, sigma=1e-9, which="LM"
+    diag = np.zeros(dim * dim)
+    diag[:dim] = 1.0  # coordinates of the identity; also the trace functional
+    # shift-invert about a tiny nonzero shift; the zero mode dominates
+    vals, vecs = scipy.sparse.linalg.eigs(
+        lio.M, k=2, sigma=1e-9, which="LM", v0=diag
+    )
+    order = np.argsort(np.abs(vals))
+    if np.abs(vals[order[1]]) < 1e-9:
+        raise DegenerateZeroEigenvalue(
+            f"two eigenvalues within {np.abs(vals[order[1]]):.3e} of zero"
         )
-        order = np.argsort(np.abs(vals))
-        if np.abs(vals[order[1]]) < 1e-9:
-            raise DegenerateZeroEigenvalue(
-                f"two eigenvalues within {np.abs(vals[order[1]]):.3e} of zero"
-            )
-        lam = vals[order[0]]
-        vec = vecs[:, order[0]]
-
-    rho = vec.reshape((dim, dim), order="F")
-    rho = (rho + rho.conj().T) / 2
-    tr = np.trace(rho)
+    lam = vals[order[0]]
+    x = vecs[:, order[0]]
+    tr = diag @ x
     if np.abs(tr) < 1e-12:
         raise DegenerateZeroEigenvalue("null vector has vanishing trace")
-    rho = rho / tr
+    # real coordinates in the Hermitian basis give an exactly Hermitian rho
+    rho = (lio.U @ (x / tr).real).reshape((dim, dim), order="F")
 
     top = _top_level_populations(lio.ops, rho)
     if top.max() > top_level_tol:
@@ -304,10 +341,20 @@ def oracle_steady_state(
 def oracle_spectrum(lio: DenseLiouvillean, count: int) -> np.ndarray:
     """The ``count`` slowest generator eigenvalues, Re descending.
 
-    Deep modes are distorted by truncation; only the leading ones are
-    comparable to the analytic decay-mode lattice.
+    Eigenvalues only, from the dense real ``M`` one block at a time: a
+    block is a connected component of the sparsity graph of ``M`` (without
+    linear terms, superparity splits it into two).  Deep modes are
+    distorted by truncation; only the leading ones are comparable to the
+    analytic decay-mode lattice.
     """
-    w, _ = lio.eig()
+    M = lio.M
+    blocks, labels = scipy.sparse.csgraph.connected_components(M, directed=False)
+    w = np.concatenate(
+        [
+            scipy.linalg.eigvals(M[idx][:, idx].toarray())
+            for idx in (np.flatnonzero(labels == b) for b in range(blocks))
+        ]
+    )
     order = np.lexsort((w.imag, -w.real))
     return w[order][:count].copy()
 
@@ -319,26 +366,35 @@ def vacuum_state(lio: DenseLiouvillean) -> np.ndarray:
 
 
 def oracle_evolve(lio: DenseLiouvillean, rho0: np.ndarray, times) -> OracleTrajectory:
-    """Propagate vec(rho) = expm(Lmat t) vec(rho0) on a time grid.
+    """Propagate vec(rho) = expm(Lmat t) vec(rho0) on a uniform time grid.
 
-    Uses the cached eigendecomposition of the generator; each grid point is
-    then a single matrix-vector product.  Returns normal-ordered covariance
-    matrices, first moments and the trace at every time.
+    One call of ``scipy.sparse.linalg.expm_multiply`` evolves the real
+    coordinates U† vec(rho0) under ``M`` across the whole grid.  A grid of
+    fewer than two times, or whose steps differ, raises :class:`InputError`.
+    Returns normal-ordered covariance matrices, first moments and the trace
+    at every time.
     """
     times = np.asarray(times, dtype=float)
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (lio.dim, lio.dim):
         raise DimensionCap(f"rho0 must be {lio.dim}x{lio.dim}, got {rho0.shape}")
-    w, R = lio.eig()
-    coeff = np.linalg.solve(R, rho0.ravel(order="F"))
+    if times.ndim != 1 or times.size < 2:
+        raise InputError("oracle_evolve needs a grid of at least two times")
+    steps = np.diff(times)
+    if np.abs(steps - steps.mean()).max() > 1e-9 * max(1.0, np.abs(times).max()):
+        raise InputError("oracle_evolve needs a uniform time grid")
+    x0 = lio.U.conj().T @ rho0.ravel(order="F")
+    xs = scipy.sparse.linalg.expm_multiply(
+        lio.M, x0, start=times[0], stop=times[-1], num=times.size, endpoint=True
+    )
+    vecs = (lio.U @ xs.T).T
     n = lio.ops.n
     a = lio.ops.a
     ad = [m.conj().T for m in a]
     cov = np.empty((times.size, 2 * n, 2 * n), dtype=complex)
     means = np.empty((times.size, 2 * n), dtype=complex)
     trace = np.empty(times.size, dtype=complex)
-    for i, t in enumerate(times):
-        vec_t = R @ (np.exp(w * t) * coeff)
+    for i, vec_t in enumerate(vecs):
         rho_t = vec_t.reshape((lio.dim, lio.dim), order="F")
         cov[i] = normal_covariance(lio.ops, rho_t)
         means[i, :n] = [np.trace(a[j] @ rho_t) for j in range(n)]
@@ -347,6 +403,33 @@ def oracle_evolve(lio: DenseLiouvillean, rho0: np.ndarray, times) -> OracleTraje
     return OracleTrajectory(times=times, cov=cov, means=means, trace=trace)
 
 
-def default_cutoff(max_occupation: float) -> int:
-    """Cutoff heuristic from the analytically predicted occupations."""
-    return max(10, int(np.ceil(8.0 * (1.0 + max(0.0, float(max_occupation))))))
+def default_cutoff(
+    occupations, pairs, mean_abs2, tol_moments: float = 1e-6
+) -> int:
+    """Fock cutoff from the analytically predicted moments of each mode.
+
+    ``occupations`` are the centred <a†_j a_j>, ``pairs`` the centred
+    <a_j a_j> and ``mean_abs2`` the squared displacements |<a_j>|^2.  The
+    number distribution of a zero-mean Gaussian mode decays like q^k with
+    q = nbar/(1 + nbar), nbar = <a†a> + |<aa>|; the displacement is counted
+    into nbar, which gives the tail of a thermal state of the same mean
+    (heavier than the displaced one's far tail).  Levels at and above d
+    then carry about q^d (d + nbar) of the mean occupation, and each mode
+    gets the smallest d that puts this below a tenth of ``tol_moments``.
+    The largest mode's d is returned, never below 10.
+    """
+    nbar = (
+        np.maximum(np.asarray(occupations, dtype=float), 0.0)
+        + np.abs(np.asarray(pairs))
+        + np.asarray(mean_abs2, dtype=float)
+    )
+    target = 0.1 * tol_moments
+    cutoff = 10
+    for nb in nbar[nbar > 0]:
+        rate = np.log1p(1.0 / nb)  # -ln q
+        # least d >= cutoff with d * rate >= ln((d + nb) / target)
+        d = cutoff
+        while (nxt := int(np.ceil(np.log((d + nb) / target) / rate))) > d:
+            d = nxt
+        cutoff = d
+    return cutoff

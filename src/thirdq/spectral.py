@@ -20,7 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CutoffTooLarge, DefectiveX, NotStable, SymplecticityViolation
+from .errors import (
+    CutoffTooLarge,
+    DefectiveX,
+    InputError,
+    NotStable,
+    SymplecticityViolation,
+)
 from .structure import StructureMatrices
 
 DEFAULT_TOL_MARGINAL = 1e-10
@@ -119,14 +125,14 @@ def liouville_spectrum(
 
     Modes are returned slowest-first (Re lambda descending), ties broken by
     lexicographic multi-index.  The zero multi-index is the steady state,
-    lambda = 0.  Enumerations larger than ``count_limit`` raise
-    :class:`CutoffTooLarge`.
+    lambda = 0.  A negative cutoff raises :class:`InputError`; enumerations
+    larger than ``count_limit`` raise :class:`CutoffTooLarge`.
     """
+    if max_total_excitation < 0:
+        raise InputError("max_total_excitation must be >= 0")
     beta = np.asarray(beta, dtype=complex)
     if classify_stability(beta, tol_marginal) is not Stability.STABLE:
         raise NotStable("decay-mode spectrum requires a Stable rapidity spectrum")
-    if max_total_excitation < 0:
-        raise CutoffTooLarge("max_total_excitation must be >= 0")
     slots = beta.size
     count = math.comb(slots + max_total_excitation, slots)
     if count > count_limit:

@@ -429,3 +429,28 @@ def test_dynamics_initial_state_file(tmp_path, capsys):
     ]
     t = np.array([float(r[0]) for r in rows])
     assert np.allclose(m_abs, 0.3 * np.exp(-0.5 * t), atol=1e-10)
+
+
+def test_verify_default_cutoff_passes(tmp_path, capsys):
+    path = write_model(tmp_path, sec4_document())
+    code, out, _ = run_cli(capsys, "verify", "--model", path)
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["pass"] is True
+    assert results["cutoff"] >= 30
+
+
+def test_spectrum_negative_excitation_is_bad_input(tmp_path, capsys):
+    path = write_model(tmp_path, sec4_document())
+    code, _, err = run_cli(capsys, "spectrum", "--model", path, "-M", "-1")
+    assert code == 2
+    assert "max_total_excitation" in err
+
+
+@pytest.mark.parametrize(
+    "flags", [("--t0", "-1", "--t1", "1"), ("--t1", "1", "--steps", "0")]
+)
+def test_dynamics_bad_grid_is_bad_input(tmp_path, capsys, flags):
+    path = write_model(tmp_path, sec4_document())
+    code, _, _ = run_cli(capsys, "dynamics", "--model", path, *flags)
+    assert code == 2

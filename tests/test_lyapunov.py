@@ -5,6 +5,7 @@ from thirdq import (
     IllConditioned,
     Method,
     NotStable,
+    NumericalError,
     ResonantSpectrum,
     build_structure,
     rapidities,
@@ -138,3 +139,21 @@ def test_occupation_entries_are_real(rng):
 def test_residual_norm_absolute_for_zero_rhs():
     struct, sp = _sec4()
     assert residual_norm(struct.X, np.zeros((2, 2)), np.zeros((2, 2))) == 0.0
+
+
+def test_uncertified_solution_is_refused(rng):
+    # a residual_tol below the attained residual leaves nothing certified,
+    # on the eigenbasis route and on the ill-conditioned Schur route alike
+    _, struct, sp = random_stable_model(rng, n=4)
+    attained = solve(struct.X, struct.Y, sp).residual
+    assert attained > 0
+    with pytest.raises(NumericalError):
+        solve(struct.X, struct.Y, sp, residual_tol=attained / 2)
+
+    X = np.array([[1.0, 1.0], [0.0, 1.0 + 1e-10]], dtype=complex)
+    Y = np.array([[0.8, 0.3], [0.3, 1.2]], dtype=complex)
+    sp = rapidities(X)
+    sol = solve(X, Y, sp)
+    assert sol.method is Method.SCHUR and sol.residual > 0
+    with pytest.raises(NumericalError):
+        solve(X, Y, sp, residual_tol=sol.residual / 2)

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
 
 from thirdq import (
     DegenerateZeroEigenvalue,
+    DenseLiouvillean,
     DimensionCap,
+    InputError,
+    LindbladChannel,
+    NumericalError,
     TruncationInsufficient,
     build_fock_operators,
     build_liouvillean_matrix,
@@ -227,3 +233,63 @@ def test_mean_dynamics_validated_against_oracle():
     raw = Z + np.outer(mstar, mstar)
     ss_cov = normal_covariance(lio.ops, ss.rho)
     assert np.abs(raw - ss_cov).max() <= 1e-5
+
+
+def _with_linear_terms(rng, model):
+    """The same model with random forces and channel offsets added."""
+    n = model.n
+    channels = [
+        LindbladChannel(l=ch.l, k=ch.k, offset=complex(*(0.2 * rng.normal(size=2))))
+        for ch in model.channels
+    ]
+    forces = 0.3 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    return validate_model(n, model.H, model.K, channels, forces=forces)
+
+
+@pytest.mark.parametrize("linear", [False, True])
+@pytest.mark.parametrize("n", [1, 2])
+def test_real_form_spectrum_matches_dense_eig(rng, n, linear):
+    for _ in range(3):
+        model = random_model(rng, n=n)
+        if linear:
+            model = _with_linear_terms(rng, model)
+        lio = build_liouvillean_matrix(model, 4)
+        assert lio.M.dtype == np.float64
+        got = oracle_spectrum(lio, lio.dim**2)
+        ref = np.linalg.eigvals(lio.Lmat)
+        assert multiset_max_delta(got, ref) <= 1e-10 * np.abs(ref).max()
+
+
+def test_evolution_matches_matrix_exponential(rng):
+    model = validate_model(
+        1,
+        [[1.0]],
+        None,
+        [([1.0], [0.25], 0.1 - 0.05j), ([0.0], [np.sqrt(0.4375)])],
+        forces=np.array([0.2 + 0.1j]),
+    )
+    lio = build_liouvillean_matrix(model, 8)
+    A = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    rho0 = A @ A.conj().T
+    rho0 /= np.trace(rho0)
+    times = np.linspace(0.5, 3.5, 7)
+    traj = oracle_evolve(lio, rho0, times)
+    a = lio.ops.a[0]
+    for i, t in enumerate(times):
+        vec_t = scipy.linalg.expm(lio.Lmat * t) @ rho0.ravel(order="F")
+        rho_t = vec_t.reshape((8, 8), order="F")
+        assert np.abs(traj.cov[i] - normal_covariance(lio.ops, rho_t)).max() <= 1e-10
+        assert abs(traj.means[i, 0] - np.trace(a @ rho_t)) <= 1e-10
+        assert abs(traj.trace[i] - np.trace(rho_t)) <= 1e-10
+
+
+def test_evolution_refuses_non_uniform_grid():
+    lio = build_liouvillean_matrix(sec4_model(), 6)
+    with pytest.raises(InputError):
+        oracle_evolve(lio, vacuum_state(lio), [0.0, 0.1, 0.3])
+
+
+def test_generator_breaking_hermiticity_is_refused():
+    ops = build_fock_operators(1, 3)
+    with pytest.raises(NumericalError):
+        DenseLiouvillean(ops, 1j * scipy.sparse.identity(9, dtype=complex))
