@@ -19,8 +19,9 @@ source assembled from linear forces f and channel offsets lambda_mu:
     g = ( -i conj(f) + sum_mu (conj(lambda_mu) k_mu - lambda_mu conj(l_mu)),
            i f       + sum_mu (lambda_mu conj(k_mu) - conj(lambda_mu) l_mu) ).
 
-Both rate constants are certified against the brute-force oracle in the test
-suite.
+Both flows have exact step propagators for any X, stable or not, from block
+exponentials (Van Loan, IEEE Trans. Autom. Control 23:395, 1978).  Both rate
+constants are certified against the brute-force oracle in the test suite.
 """
 
 from __future__ import annotations
@@ -28,11 +29,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 import scipy.linalg
 
-from .errors import AsymmetricZ, IndexOutOfRange, NonSymmetricInitial, NotStable
-from .lyapunov import solve
+from .errors import (
+    AsymmetricZ,
+    IndexOutOfRange,
+    InputError,
+    NonSymmetricInitial,
+    NotStable,
+    NumericalError,
+)
 from .model import BosonicModel
 from .spectral import DEFAULT_TOL_MARGINAL, Stability, rapidities
 
@@ -52,7 +58,6 @@ class NessSolution:
 class CovarianceTrajectory:
     times: np.ndarray
     C: np.ndarray
-    m: np.ndarray | None = None
 
 
 def physical_correlators(Z: np.ndarray, n: int, tol: float = 1e-8) -> NessSolution:
@@ -94,13 +99,44 @@ def wick_moment(Z: np.ndarray, indices) -> complex:
     return complex(Z[p, q] * Z[r, s] + Z[p, r] * Z[q, s] + Z[p, s] * Z[q, r])
 
 
-def _check_times(times) -> np.ndarray:
+def _uniform_grid(times) -> tuple[np.ndarray, float]:
+    """Return a non-empty, non-negative, ascending, uniform grid and its step."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
-        raise NonSymmetricInitial("times must be a non-empty 1-d array")
-    if np.any(np.diff(times) < 0) or times[0] < 0:
-        raise NonSymmetricInitial("times must be sorted ascending and non-negative")
-    return times
+        raise InputError("times must be a non-empty 1-d array")
+    if times[0] < 0:
+        raise InputError("times must be non-negative")
+    steps = np.diff(times)
+    if np.any(steps < 0):
+        raise InputError("times must be sorted ascending")
+    h = float(steps.mean()) if steps.size else 0.0
+    if np.abs(steps - h).max(initial=0.0) > 1e-9 * max(1.0, np.abs(times).max()):
+        raise InputError("times must form a uniform grid")
+    return times, h
+
+
+def _covariance_step(X: np.ndarray, Y: np.ndarray, h: float):
+    """F = expm(-2 X h) and Q = 2 int_0^h F(s)^T Y F(s) ds: C(t+h) = F^T C F + Q.
+
+    expm(tau [[2 X^T, 2 Y], [0, -2 X]]) holds F(tau) lower right and
+    F(tau)^-T Q(tau) upper right at tau = h / 2^s, 2 |X|_1 tau <= 1/2; s
+    doublings then reach h without the growing expm(2 X^T h) that would
+    swamp Q at large h.
+    """
+    m = X.shape[0]
+    s = int(np.ceil(np.log2(max(4.0 * np.abs(X).sum(axis=0).max() * h, 1.0))))
+    tau = h / 2**s
+    block = np.zeros((2 * m, 2 * m), dtype=complex)
+    block[:m, :m] = 2.0 * tau * X.T
+    block[:m, m:] = 2.0 * tau * Y
+    block[m:, m:] = -2.0 * tau * X
+    E = scipy.linalg.expm(block)
+    F = E[m:, m:]
+    Q = F.T @ E[:m, m:]
+    for _ in range(s):
+        Q = Q + F.T @ Q @ F
+        F = F @ F
+    return F, Q
 
 
 def covariance_trajectory(
@@ -108,55 +144,33 @@ def covariance_trajectory(
     Y: np.ndarray,
     C0: np.ndarray,
     times,
-    tol_marginal: float = DEFAULT_TOL_MARGINAL,
 ) -> CovarianceTrajectory:
-    """Integrate dC/dt = 2 (Y - X^T C - C X) from C(0) = C0.
+    """Solve dC/dt = 2 (Y - X^T C - C X) from C(0) = C0 on a uniform grid.
 
-    For a Stable spectrum the exact closed form
-    C(t) = Z + E(t)^T (C0 - Z) E(t) with E(t) = expm(-2 X t) is used
-    (no step-size error); otherwise the flow is integrated adaptively.
+    Exact for any spectrum of X: one propagator step from 0 to the first
+    time, then one per grid interval.  A grid that is not non-negative,
+    ascending and uniform raises :class:`InputError`; moments that overflow
+    raise :class:`NumericalError`.
     """
     X = np.asarray(X, dtype=complex)
     Y = np.asarray(Y, dtype=complex)
     C0 = np.asarray(C0, dtype=complex)
-    times = _check_times(times)
+    times, h = _uniform_grid(times)
     dev = np.linalg.norm(C0 - C0.T)
     if dev > 1e-8 * max(1.0, np.linalg.norm(C0)):
         raise NonSymmetricInitial(f"C0 deviates from symmetry by {dev:.3e}")
     C0 = (C0 + C0.T) / 2
 
-    spectrum = rapidities(X, tol_marginal)
-    if spectrum.stability is Stability.STABLE:
-        Z = solve(X, Y, spectrum, tol_marginal=tol_marginal).Z
-        W = C0 - Z
-        out = np.empty((times.size,) + C0.shape, dtype=complex)
-        for i, t in enumerate(times):
-            E = scipy.linalg.expm(-2.0 * X * t)
-            C = Z + E.T @ W @ E
-            out[i] = (C + C.T) / 2
-        return CovarianceTrajectory(times=times, C=out)
-
-    if times[-1] == 0:
-        return CovarianceTrajectory(
-            times=times, C=np.repeat(C0[None, :, :], times.size, axis=0)
-        )
-
-    def flow(_t, y):
-        C = y.reshape(C0.shape)
-        dC = 2.0 * (Y - X.T @ C - C @ X)
-        return dC.ravel()
-
-    sol = scipy.integrate.solve_ivp(
-        flow,
-        (0.0, float(times[-1])),
-        C0.ravel(),
-        t_eval=times,
-        method="DOP853",
-        rtol=1e-11,
-        atol=1e-12,
-    )
-    out = sol.y.T.reshape((times.size,) + C0.shape)
-    out = (out + np.transpose(out, (0, 2, 1))) / 2
+    F, Q = _covariance_step(X, Y, float(times[0]))
+    C = F.T @ C0 @ F + Q
+    out = np.empty((times.size,) + C0.shape, dtype=complex)
+    out[0] = (C + C.T) / 2
+    F, Q = _covariance_step(X, Y, h)
+    for i in range(1, times.size):
+        C = F.T @ out[i - 1] @ F + Q
+        out[i] = (C + C.T) / 2
+    if not np.isfinite(out).all():
+        raise NumericalError("covariance overflows the float range on this grid")
     return CovarianceTrajectory(times=times, C=out)
 
 
@@ -185,46 +199,37 @@ def steady_mean(
     return np.linalg.solve(2.0 * X.T, g)
 
 
+def _mean_step(X: np.ndarray, g: np.ndarray, h: float):
+    """F^T and b with m(t+h) = F^T m + b from expm(h [[-2 X^T, g], [0, 0]])."""
+    m = X.shape[0]
+    block = np.zeros((m + 1, m + 1), dtype=complex)
+    block[:m, :m] = -2.0 * h * X.T
+    block[:m, m] = h * g
+    E = scipy.linalg.expm(block)
+    return E[:m, :m], E[:m, m]
+
+
 def mean_trajectory(
     X: np.ndarray,
     g: np.ndarray | None,
     m0: np.ndarray,
     times,
-    tol_marginal: float = DEFAULT_TOL_MARGINAL,
 ) -> np.ndarray:
-    """Integrate dm/dt = -2 X^T m + g from m(0) = m0.
+    """Solve dm/dt = -2 X^T m + g from m(0) = m0 on a uniform grid.
 
-    Stable spectra use the closed form m(t) = E(t) (m0 - m*) + m* with
-    E(t) = expm(-2 X^T t); otherwise adaptive integration.
+    Exact for any spectrum of X, stepped like :func:`covariance_trajectory`.
     """
     X = np.asarray(X, dtype=complex)
     m0 = np.asarray(m0, dtype=complex)
-    times = _check_times(times)
-    if g is None:
-        g = np.zeros_like(m0)
-    g = np.asarray(g, dtype=complex)
+    times, h = _uniform_grid(times)
+    g = np.zeros_like(m0) if g is None else np.asarray(g, dtype=complex)
 
-    spectrum = rapidities(X, tol_marginal)
-    if spectrum.stability is Stability.STABLE:
-        mstar = np.linalg.solve(2.0 * X.T, g) if np.any(g != 0) else np.zeros_like(m0)
-        out = np.empty((times.size, m0.size), dtype=complex)
-        for i, t in enumerate(times):
-            E = scipy.linalg.expm(-2.0 * X.T * t)
-            out[i] = E @ (m0 - mstar) + mstar
-        return out
-
-    def flow(_t, y):
-        return -2.0 * X.T @ y + g
-
-    if times[-1] == 0:
-        return np.repeat(m0[None, :], times.size, axis=0)
-    sol = scipy.integrate.solve_ivp(
-        flow,
-        (0.0, float(times[-1])),
-        m0,
-        t_eval=times,
-        method="DOP853",
-        rtol=1e-11,
-        atol=1e-12,
-    )
-    return sol.y.T.copy()
+    Ft, b = _mean_step(X, g, float(times[0]))
+    out = np.empty((times.size, m0.size), dtype=complex)
+    out[0] = Ft @ m0 + b
+    Ft, b = _mean_step(X, g, h)
+    for i in range(1, times.size):
+        out[i] = Ft @ out[i - 1] + b
+    if not np.isfinite(out).all():
+        raise NumericalError("means overflow the float range on this grid")
+    return out

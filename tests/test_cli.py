@@ -370,6 +370,20 @@ def test_published_schemas_match_packaged_copies():
         assert published == packaged
 
 
+def test_published_schemas_are_byte_identical():
+    # every published schema has a packaged twin with the same bytes, and
+    # the package ships no schema that is not published
+    import pathlib
+
+    repo = pathlib.Path(__file__).resolve().parents[1]
+    published = sorted((repo / "schemas").glob("*.json"))
+    packaged = sorted((repo / "src" / "thirdq" / "schemas").glob("*.json"))
+    assert published
+    assert [p.name for p in published] == [p.name for p in packaged]
+    for pub, pkg in zip(published, packaged):
+        assert pub.read_bytes() == pkg.read_bytes()
+
+
 def test_verify_failure_exit_code(tmp_path, capsys):
     # impossible tolerance: report still written, exit 6, worst gate named
     path = write_model(tmp_path, sec4_document())
@@ -448,7 +462,12 @@ def test_spectrum_negative_excitation_is_bad_input(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags", [("--t0", "-1", "--t1", "1"), ("--t1", "1", "--steps", "0")]
+    "flags",
+    [
+        ("--t0", "-1", "--t1", "1"),
+        ("--t1", "1", "--steps", "0"),
+        ("--t0", "2", "--t1", "1"),
+    ],
 )
 def test_dynamics_bad_grid_is_bad_input(tmp_path, capsys, flags):
     path = write_model(tmp_path, sec4_document())

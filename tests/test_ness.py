@@ -2,12 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from thirdq import (
     AsymmetricZ,
     IndexOutOfRange,
+    InputError,
     NonSymmetricInitial,
     NotStable,
+    NumericalError,
     build_structure,
     covariance_trajectory,
     mean_source,
@@ -15,6 +18,7 @@ from thirdq import (
     physical_correlators,
     rapidities,
     solve,
+    solve_schur,
     spectral_gap,
     steady_mean,
     validate_model,
@@ -140,7 +144,7 @@ def test_initial_condition_validation():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(NonSymmetricInitial):
         covariance_trajectory(struct.X, struct.Y, bad, [0.0, 1.0])
-    with pytest.raises(NonSymmetricInitial):
+    with pytest.raises(InputError):
         covariance_trajectory(struct.X, struct.Y, np.zeros((2, 2)), [1.0, 0.5])
 
 
@@ -190,3 +194,95 @@ def test_mean_source_assembly():
 
 def test_mean_source_zero_model():
     assert not mean_source(sec4_model()).any()
+
+
+def _closed_form(X, Y, g, C0, m0, times):
+    """C(t) = Z + E^T (C0 - Z) E and m(t) = E^T (m0 - m*) + m*, E = expm(-2 X t).
+
+    Exact for any X without resonances beta_j + beta_k = 0 or beta_j = 0,
+    stable or not; Z and m* are the fixed points of the two flows.
+    """
+    Z = solve_schur(X, Y).Z
+    mstar = np.linalg.solve(2.0 * X.T, g)
+    Es = [scipy.linalg.expm(-2.0 * X * t) for t in times]
+    C = np.array([Z + E.T @ (C0 - Z) @ E for E in Es])
+    m = np.array([E.T @ (m0 - mstar) + mstar for E in Es])
+    return C, m
+
+
+def _rel(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+def _random_symmetric(rng, dim):
+    A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return (A + A.T) / 2
+
+
+def test_unstable_trajectories_match_closed_form(rng):
+    # gain 0.1-0.2 above loss on every mode of a forced three-mode chain:
+    # every Re beta < 0, no pair sums to zero, and the moments grow ~e^4
+    n = 3
+    H = np.diag([1.0, 1.1, 0.9]) + np.diag([0.3, 0.25], 1) + np.diag([0.3, 0.25], -1)
+    loss = np.array([1.0, 0.9, 1.1])
+    gain = loss + np.array([0.15, 0.1, 0.2])
+    channels = [(np.sqrt(loss[j]) * np.eye(n)[j], np.zeros(n)) for j in range(n)]
+    channels += [(np.zeros(n), np.sqrt(gain[j]) * np.eye(n)[j]) for j in range(n)]
+    model = validate_model(n, H, 0.01 * np.eye(n), channels, forces=[0.3, 0.2j, -0.1])
+    struct = build_structure(model)
+    assert rapidities(struct.X).beta.real.max() < 0
+    g = mean_source(model)
+    C0 = _random_symmetric(rng, 2 * n)
+    m0 = rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)
+    times = np.linspace(0.0, 10.0, 101)
+    C_ref, m_ref = _closed_form(struct.X, struct.Y, g, C0, m0, times)
+    C = covariance_trajectory(struct.X, struct.Y, C0, times).C
+    m = mean_trajectory(struct.X, g, m0, times)
+    assert _rel(C, C_ref) <= 1e-12
+    assert _rel(m, m_ref) <= 1e-12
+
+
+@pytest.mark.parametrize("grid", [(50.0, 60.0, 11), (0.0, 1000.0, 11)])
+def test_stable_trajectories_late_and_long(rng, grid):
+    # a late start and a long horizon: the jump to t0 and the step pair
+    # stay exact where expm(2 X^T t) alone would overflow
+    model, struct, _ = random_stable_model(rng, n=3)
+    g = rng.normal(size=6) + 1j * rng.normal(size=6)
+    C0 = _random_symmetric(rng, 6)
+    m0 = rng.normal(size=6) + 1j * rng.normal(size=6)
+    times = np.linspace(*grid)
+    C_ref, m_ref = _closed_form(struct.X, struct.Y, g, C0, m0, times)
+    C = covariance_trajectory(struct.X, struct.Y, C0, times).C
+    m = mean_trajectory(struct.X, g, m0, times)
+    assert np.all(np.isfinite(C)) and np.all(np.isfinite(m))
+    assert _rel(C, C_ref) <= 1e-12
+    assert _rel(m, m_ref) <= 1e-12
+
+
+def test_non_uniform_grid_is_bad_input():
+    struct, _, _ = _sec4_solution()
+    times = [0.0, 1.0, 3.0]
+    with pytest.raises(InputError):
+        covariance_trajectory(struct.X, struct.Y, np.zeros((2, 2)), times)
+    with pytest.raises(InputError):
+        mean_trajectory(struct.X, None, np.ones(2, dtype=complex), times)
+
+
+def test_mean_single_late_time(rng):
+    model, struct, _ = random_stable_model(rng, n=2)
+    g = rng.normal(size=4) + 1j * rng.normal(size=4)
+    m0 = rng.normal(size=4) + 1j * rng.normal(size=4)
+    m = mean_trajectory(struct.X, g, m0, [2.5])
+    _, m_ref = _closed_form(struct.X, struct.Y, g, np.zeros((4, 4)), m0, [2.5])
+    assert m.shape == (1, 4)
+    assert _rel(m, m_ref) <= 1e-12
+
+
+def test_overflowing_moments_are_refused():
+    # C grows like e^t and m like e^(t/2): both leave the float range by t = 2000
+    struct = build_structure(unstable_sec4_model())
+    times = np.linspace(0.0, 2000.0, 3)
+    with pytest.raises(NumericalError):
+        covariance_trajectory(struct.X, struct.Y, np.zeros((2, 2)), times)
+    with pytest.raises(NumericalError):
+        mean_trajectory(struct.X, None, np.ones(2, dtype=complex), times)
