@@ -24,15 +24,12 @@ import hashlib
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from importlib import resources
 
 import numpy as np
-import jsonschema
 
 from . import __version__
 from .errors import (
     DimensionMismatch,
-    NotStable,
     SchemaError,
     ThirdQError,
 )
@@ -85,26 +82,33 @@ def _pair_matrix(A) -> list[list[list[float]]]:
     return [_pair_vector(row) for row in np.asarray(A)]
 
 
-def _from_pair(obj, where: str) -> complex:
+def _from_pair(obj, where: str, index: int | None = None) -> complex:
+    """Decode one [re, im] pair; errors name it ``where[index]``."""
+    problem = "expected a [re, im] pair"
     if (
-        not isinstance(obj, list)
-        or len(obj) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj)
+        isinstance(obj, list)
+        and len(obj) == 2
+        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj)
     ):
-        raise SchemaError(f"{where}: expected a [re, im] pair, got {obj!r}")
-    return complex(obj[0], obj[1])
+        try:
+            return complex(obj[0], obj[1])
+        except OverflowError:
+            problem = "number outside the float range"
+    # formatted only on failure: a model file holds O(n^2) pairs
+    at = where if index is None else f"{where}[{index}]"
+    raise SchemaError(f"{at}: {problem}, got {obj!r}")
 
 
 def _from_pair_vector(obj, where: str) -> np.ndarray:
     if not isinstance(obj, list):
         raise SchemaError(f"{where}: expected an array of [re, im] pairs")
-    return np.array([_from_pair(x, where) for x in obj], dtype=complex)
+    return np.array([_from_pair(x, where, j) for j, x in enumerate(obj)], dtype=complex)
 
 
 def _from_pair_matrix(obj, where: str) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise SchemaError(f"{where}: expected a nested array of [re, im] pairs")
-    rows = [_from_pair_vector(row, where) for row in obj]
+    rows = [_from_pair_vector(row, f"{where}[{i}]") for i, row in enumerate(obj)]
     width = {row.size for row in rows}
     if len(width) != 1:
         raise DimensionMismatch(f"{where}: ragged rows")
@@ -120,12 +124,31 @@ def _fmt(x) -> str:
 # model files
 
 
-def _load_schema(name: str) -> dict:
-    with resources.files("thirdq.schemas").joinpath(name).open("r") as fh:
-        return json.load(fh)
+# the keys model.schema.json requires and allows, at the top and per channel
+_MODEL_REQUIRED = ("n", "H", "channels")
+_MODEL_KEYS = _MODEL_REQUIRED + ("K", "forces")
+_CHANNEL_REQUIRED = ("l", "k")
+_CHANNEL_KEYS = _CHANNEL_REQUIRED + ("offset",)
 
 
-def load_model_document(path: str) -> dict:
+def _check_keys(obj, where: str, required: tuple, allowed: tuple) -> None:
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where}: expected an object")
+    for key in required:
+        if key not in obj:
+            raise SchemaError(f"{where}: missing key {key!r}")
+    for key in obj:
+        if key not in allowed:
+            raise SchemaError(f"{where}: unknown key {key!r}")
+
+
+def load_model_document(path: str) -> tuple[dict, str]:
+    """Read and parse a model file; return the document and the SHA-256 of its bytes.
+
+    Refuses with :class:`SchemaError` what ``model.schema.json`` refuses on
+    the keys, ``n`` and the ``channels`` array; :func:`document_to_model`
+    checks every pair, shape and value.
+    """
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -137,12 +160,18 @@ def load_model_document(path: str) -> dict:
         raise SchemaError(
             f"malformed JSON at line {e.lineno} column {e.colno}: {e.msg}"
         ) from None
-    try:
-        jsonschema.validate(doc, _load_schema("model.schema.json"))
-    except jsonschema.ValidationError as e:
-        path_str = "/".join(str(p) for p in e.absolute_path) or "<root>"
-        raise SchemaError(f"model file invalid at {path_str}: {e.message}") from None
-    return doc
+    except (ValueError, RecursionError) as e:  # bad encoding, digit limit, nesting
+        raise SchemaError(f"malformed JSON: {e}") from None
+    _check_keys(doc, "model", _MODEL_REQUIRED, _MODEL_KEYS)
+    n = doc["n"]
+    integral = isinstance(n, int) or isinstance(n, float) and n.is_integer()
+    if isinstance(n, bool) or not integral or n < 1:
+        raise SchemaError(f"n: expected an integer >= 1, got {n!r}")
+    if not isinstance(doc["channels"], list):
+        raise SchemaError("channels: expected an array")
+    for i, ch in enumerate(doc["channels"]):
+        _check_keys(ch, f"channels[{i}]", _CHANNEL_REQUIRED, _CHANNEL_KEYS)
+    return doc, hashlib.sha256(raw).hexdigest()
 
 
 def document_to_model(doc: dict, tol_input: float = DEFAULT_TOL_INPUT) -> BosonicModel:
@@ -177,9 +206,9 @@ def model_to_document(model: BosonicModel) -> dict:
     return doc
 
 
-def _model_hash(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+def _load_model(args) -> tuple[BosonicModel, str]:
+    doc, model_hash = load_model_document(args.model)
+    return document_to_model(doc, tol_input=args.tol), model_hash
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +261,11 @@ def _analysis_results(model: BosonicModel, tol_marginal: float) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    model = document_to_model(load_model_document(args.model), tol_input=args.tol)
+    model, model_hash = _load_model(args)
     results = _analysis_results(model, args.tol_marginal)
     text = _report(
         "analyze",
-        _model_hash(args.model),
+        model_hash,
         {"tol_input": args.tol, "tol_marginal": args.tol_marginal},
         results,
     )
@@ -245,13 +274,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_ness(args) -> int:
-    model = document_to_model(load_model_document(args.model), tol_input=args.tol)
+    model, model_hash = _load_model(args)
     struct = build_structure(model)
     spectrum = rapidities(struct.X, args.tol_marginal)
-    if spectrum.stability is Stability.MARGINAL:
-        raise NotStable("marginal spectrum: Lyapunov solution not unique")
-    if spectrum.stability is Stability.UNSTABLE:
-        raise NotStable("unstable spectrum: no steady state exists")
     sol = solve(struct.X, struct.Y, spectrum, tol_marginal=args.tol_marginal)
     corr = physical_correlators(sol.Z, model.n)
     results = {
@@ -265,7 +290,7 @@ def cmd_ness(args) -> int:
     }
     text = _report(
         "ness",
-        _model_hash(args.model),
+        model_hash,
         {
             "tol_input": args.tol,
             "tol_marginal": args.tol_marginal,
@@ -278,7 +303,7 @@ def cmd_ness(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    model = document_to_model(load_model_document(args.model), tol_input=args.tol)
+    model, _ = _load_model(args)
     struct = build_structure(model)
     spectrum = rapidities(struct.X, args.tol_marginal)
     modes = liouville_spectrum(
@@ -316,7 +341,7 @@ def _load_initial(path: str, two_n: int):
 
 
 def cmd_dynamics(args) -> int:
-    model = document_to_model(load_model_document(args.model), tol_input=args.tol)
+    model, _ = _load_model(args)
     struct = build_structure(model)
     spectrum = rapidities(struct.X, args.tol_marginal)
     n, two_n = model.n, 2 * model.n
@@ -416,17 +441,13 @@ def run_verification(
     n = model.n
     struct = build_structure(model)
     spectrum = rapidities(struct.X, tol_marginal)
-    if spectrum.stability is not Stability.STABLE:
-        raise NotStable(
-            f"verification requires a Stable model, got {spectrum.stability.value}"
-        )
     sol = solve(struct.X, struct.Y, spectrum, tol_marginal=tol_marginal)
     corr = physical_correlators(sol.Z, n)
     gap = spectral_gap(spectrum.beta, tol_marginal)
 
     linear = model.has_linear_terms
     ma = (
-        steady_mean(struct.X, mean_source(model), tol_marginal)[:n]
+        steady_mean(struct.X, mean_source(model), spectrum)[:n]
         if linear
         else np.zeros(n, dtype=complex)
     )
@@ -517,7 +538,7 @@ def run_verification(
 
 
 def cmd_verify(args) -> int:
-    model = document_to_model(load_model_document(args.model), tol_input=args.tol)
+    model, model_hash = _load_model(args)
     gates = _verify_tolerances(
         args.tol_moments,
         args.tol_wick,
@@ -539,7 +560,7 @@ def cmd_verify(args) -> int:
         "tol_moments": args.tol_moments,
         **gates,
     }
-    text = _report("verify", _model_hash(args.model), tolerances, results)
+    text = _report("verify", model_hash, tolerances, results)
     _emit(text, args.output)
     if not results["pass"]:
         sys.stderr.write(f"verification failed: worst gate {results['worst']}\n")
@@ -552,42 +573,27 @@ def cmd_verify(args) -> int:
 
 
 def _resolve_path(doc, path: str):
-    tokens = path.split(".")
-    node = doc
-    for i, tok in enumerate(tokens[:-1]):
-        if isinstance(node, list):
+    """Return the container and key of the real scalar a dotted path addresses."""
+    node, key, value = None, None, doc
+    for tok in path.split("."):
+        if isinstance(value, list):
             try:
-                node = node[int(tok)]
+                node, key, value = value, int(tok), value[int(tok)]
             except (ValueError, IndexError):
                 raise SchemaError(f"bad sweep path segment {tok!r} in {path!r}") from None
-        elif isinstance(node, dict):
-            if tok not in node:
+        elif isinstance(value, dict):
+            if tok not in value:
                 raise SchemaError(f"bad sweep path segment {tok!r} in {path!r}")
-            node = node[tok]
+            node, key, value = value, tok, value[tok]
         else:
             raise SchemaError(f"sweep path {path!r} descends into a scalar")
-    leaf = tokens[-1]
-    if isinstance(node, list):
-        try:
-            idx = int(leaf)
-            current = node[idx]
-        except (ValueError, IndexError):
-            raise SchemaError(f"bad sweep path segment {leaf!r} in {path!r}") from None
-        key = idx
-    elif isinstance(node, dict):
-        if leaf not in node:
-            raise SchemaError(f"bad sweep path segment {leaf!r} in {path!r}")
-        current = node[leaf]
-        key = leaf
-    else:
-        raise SchemaError(f"sweep path {path!r} descends into a scalar")
-    if isinstance(current, bool) or not isinstance(current, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"sweep path {path!r} must address one real scalar")
     return node, key
 
 
 def cmd_sweep(args) -> int:
-    doc = load_model_document(args.model)
+    doc, _ = load_model_document(args.model)
     _resolve_path(doc, args.param)  # fail fast on a bad path
     n = int(doc["n"])
     if args.steps < 1:

@@ -141,10 +141,10 @@ def solve(
     ``residual_tol``; whichever certified residual is smaller wins.  A
     winner that still misses ``residual_tol`` raises :class:`NumericalError`.
     """
-    if spectrum.stability is not Stability.STABLE:
-        raise NotStable(
-            f"Lyapunov solve requires a Stable spectrum, got {spectrum.stability.value}"
-        )
+    if spectrum.stability is Stability.MARGINAL:
+        raise NotStable("marginal spectrum: Lyapunov solution not unique")
+    if spectrum.stability is Stability.UNSTABLE:
+        raise NotStable("unstable spectrum: no steady state exists")
     try:
         sol = solve_eigenbasis(X, Y, spectrum, tol_marginal=tol_marginal)
     except IllConditioned:

@@ -40,7 +40,7 @@ from .errors import (
     NumericalError,
 )
 from .model import BosonicModel
-from .spectral import DEFAULT_TOL_MARGINAL, Stability, rapidities
+from .spectral import RapiditySpectrum, Stability
 
 
 @dataclass(frozen=True)
@@ -185,15 +185,13 @@ def mean_source(model: BosonicModel) -> np.ndarray:
     return np.concatenate([g_a, g_a.conj()])
 
 
-def steady_mean(
-    X: np.ndarray,
-    g: np.ndarray,
-    tol_marginal: float = DEFAULT_TOL_MARGINAL,
-) -> np.ndarray:
-    """Fixed point of the mean flow, solving 2 X^T m = g.  Stable only."""
+def steady_mean(X: np.ndarray, g: np.ndarray, spectrum: RapiditySpectrum) -> np.ndarray:
+    """Fixed point of the mean flow, solving 2 X^T m = g.
+
+    ``spectrum`` holds the rapidities of ``X``; a non-Stable one is refused.
+    """
     X = np.asarray(X, dtype=complex)
     g = np.asarray(g, dtype=complex)
-    spectrum = rapidities(X, tol_marginal)
     if spectrum.stability is not Stability.STABLE:
         raise NotStable("steady mean requires a Stable spectrum")
     return np.linalg.solve(2.0 * X.T, g)

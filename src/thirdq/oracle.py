@@ -170,10 +170,6 @@ class DenseLiouvillean:
             self._dense = self._Lsp.toarray()
         return self._dense
 
-    @property
-    def Lmat_sparse(self) -> sp.csr_matrix:
-        return self._Lsp
-
     def trace_preservation_residual(self) -> float:
         """|vec(I)† Lmat| / |Lmat|_F; zero for any Lindblad generator."""
         vec_id = np.eye(self.dim, dtype=complex).ravel(order="F")

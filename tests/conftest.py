@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -108,6 +109,12 @@ def random_stable_model(rng, n=None, max_tries=200):
         ):
             return model, struct, spectrum
     raise RuntimeError("failed to draw a stable model")
+
+
+def load_schema(name: str) -> dict:
+    """A published schema; the reference the model loader is tested against."""
+    with resources.files("thirdq.schemas").joinpath(name).open("r") as fh:
+        return json.load(fh)
 
 
 def write_model(tmp_path, doc, name="model.json"):

@@ -4,9 +4,10 @@ import jsonschema
 import numpy as np
 import pytest
 
-from thirdq.cli import _load_schema, main, model_to_document
+from thirdq.cli import main, model_to_document
 
 from conftest import (
+    load_schema,
     sec4_document,
     two_mode_document,
     unstable_sec4_model,
@@ -45,7 +46,7 @@ def test_analyze_reference_model(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "analyze", "--model", path)
     assert code == 0
     report = json.loads(out)
-    jsonschema.validate(report, _load_schema("report.schema.json"))
+    jsonschema.validate(report, load_schema("report.schema.json"))
     res = report["results"]
     assert res["stability"] == "Stable"
     assert res["spectral_gap"] == pytest.approx(0.5, abs=1e-12)
@@ -92,7 +93,7 @@ def test_ness_reference_model(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "ness", "--model", path)
     assert code == 0
     report = json.loads(out)
-    jsonschema.validate(report, _load_schema("report.schema.json"))
+    jsonschema.validate(report, load_schema("report.schema.json"))
     res = report["results"]
     assert res["occupations"] == pytest.approx([1.0], abs=1e-10)
     assert res["residual"] <= 1e-9
@@ -106,6 +107,15 @@ def test_ness_refuses_marginal(tmp_path, capsys):
     code, _, err = run_cli(capsys, "ness", "--model", path)
     assert code == 4
     assert "marginal spectrum: Lyapunov solution not unique" in err
+
+
+@pytest.mark.parametrize("command", ["ness", "verify"])
+def test_unstable_model_is_refused(tmp_path, capsys, command):
+    path = write_model(tmp_path, model_to_document(unstable_sec4_model()))
+    code, out, err = run_cli(capsys, command, "--model", path)
+    assert code == 4
+    assert out == ""
+    assert "unstable spectrum: no steady state exists" in err
 
 
 def test_ness_three_mode_random_stable(tmp_path, capsys, rng):
@@ -199,7 +209,7 @@ def test_verify_reference_model(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", "--model", path, "--cutoff", "30")
     assert code == 0
     report = json.loads(out)
-    jsonschema.validate(report, _load_schema("report.schema.json"))
+    jsonschema.validate(report, load_schema("report.schema.json"))
     res = report["results"]
     assert res["pass"] is True
     assert res["moment_max_delta"] < 1e-6

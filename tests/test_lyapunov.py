@@ -61,11 +61,11 @@ def test_solver_selection_and_refusals():
     assert solve(struct.X, struct.Y, sp).method is Method.EIGENBASIS
 
     closed = build_structure(closed_model())
-    with pytest.raises(NotStable):
+    with pytest.raises(NotStable, match="marginal spectrum"):
         solve(closed.X, closed.Y, rapidities(closed.X))
 
     unstable = build_structure(unstable_sec4_model())
-    with pytest.raises(NotStable):
+    with pytest.raises(NotStable, match="unstable spectrum: no steady state exists"):
         solve(unstable.X, unstable.Y, rapidities(unstable.X))
 
 

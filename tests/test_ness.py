@@ -160,15 +160,15 @@ def test_homogeneous_mean_decay():
 
 
 def test_zero_source_zero_steady_mean():
-    struct, _, _ = _sec4_solution()
-    m = steady_mean(struct.X, np.zeros(2, dtype=complex))
+    struct, sp, _ = _sec4_solution()
+    m = steady_mean(struct.X, np.zeros(2, dtype=complex), sp)
     assert not m.any()
 
 
 def test_steady_mean_solves_linear_system(rng):
     model, struct, sp = random_stable_model(rng)
     g = rng.normal(size=2 * model.n) + 1j * rng.normal(size=2 * model.n)
-    mstar = steady_mean(struct.X, g)
+    mstar = steady_mean(struct.X, g, sp)
     assert np.allclose(2.0 * struct.X.T @ mstar, g, atol=1e-10)
     times = np.linspace(0.0, 30.0 / spectral_gap(sp.beta), 8)
     m = mean_trajectory(struct.X, g, np.zeros(2 * model.n, dtype=complex), times)
@@ -178,7 +178,7 @@ def test_steady_mean_solves_linear_system(rng):
 def test_steady_mean_requires_stability():
     struct = build_structure(closed_model())
     with pytest.raises(NotStable):
-        steady_mean(struct.X, np.zeros(2, dtype=complex))
+        steady_mean(struct.X, np.zeros(2, dtype=complex), rapidities(struct.X))
 
 
 def test_mean_source_assembly():

@@ -222,13 +222,13 @@ def test_mean_dynamics_validated_against_oracle():
     m = mean_trajectory(struct.X, g, np.zeros(2, dtype=complex), times)
     assert np.abs(m - otraj.means).max() <= 1e-6
     # steady displacement against the brute-force steady state
-    mstar = steady_mean(struct.X, g)
+    sp = rapidities(struct.X)
+    mstar = steady_mean(struct.X, g, sp)
     ss = oracle_steady_state(lio)
     oracle_mean = np.trace(lio.ops.a[0] @ ss.rho)
     assert abs(mstar[0] - oracle_mean) <= 1e-6
     assert abs(mstar[1] - np.conj(oracle_mean)) <= 1e-6
     # second moments acquire the mean-field contribution on top of Z
-    sp = rapidities(struct.X)
     Z = solve(struct.X, struct.Y, sp).Z
     raw = Z + np.outer(mstar, mstar)
     ss_cov = normal_covariance(lio.ops, ss.rho)
