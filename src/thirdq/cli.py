@@ -9,7 +9,7 @@ invocations produce byte-identical output.
 Exit codes:
 
     0  success (an Unstable verdict from analyze/sweep is a result)
-    2  unreadable/schema-invalid input, bad sweep path
+    2  unreadable/schema-invalid input, bad sweep path (or a path into n)
     3  numerical failure (e.g. X not diagonalizable)
     4  stable spectrum required (ness/spectrum on Marginal or Unstable)
     5  enumeration or oracle dimension caps, insufficient truncation
@@ -19,11 +19,9 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
-import copy
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -142,6 +140,24 @@ def _check_keys(obj, where: str, required: tuple, allowed: tuple) -> None:
             raise SchemaError(f"{where}: unknown key {key!r}")
 
 
+def _read_json(path: str, what: str) -> tuple[object, bytes]:
+    """Read and parse a JSON file; :class:`SchemaError` names ``what`` and ``path``."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as e:
+        raise SchemaError(f"cannot read {what} {path}: {e}") from None
+    try:
+        return json.loads(raw), raw
+    except json.JSONDecodeError as e:
+        raise SchemaError(
+            f"malformed JSON in {what} {path} at line {e.lineno} column {e.colno}: "
+            f"{e.msg}"
+        ) from None
+    except (ValueError, RecursionError) as e:  # bad encoding, digit limit, nesting
+        raise SchemaError(f"malformed JSON in {what} {path}: {e}") from None
+
+
 def load_model_document(path: str) -> tuple[dict, str]:
     """Read and parse a model file; return the document and the SHA-256 of its bytes.
 
@@ -149,19 +165,7 @@ def load_model_document(path: str) -> tuple[dict, str]:
     the keys, ``n`` and the ``channels`` array; :func:`document_to_model`
     checks every pair, shape and value.
     """
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as e:
-        raise SchemaError(f"cannot read model file {path}: {e}") from None
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as e:
-        raise SchemaError(
-            f"malformed JSON at line {e.lineno} column {e.colno}: {e.msg}"
-        ) from None
-    except (ValueError, RecursionError) as e:  # bad encoding, digit limit, nesting
-        raise SchemaError(f"malformed JSON: {e}") from None
+    doc, raw = _read_json(path, "model file")
     _check_keys(doc, "model", _MODEL_REQUIRED, _MODEL_KEYS)
     n = doc["n"]
     integral = isinstance(n, int) or isinstance(n, float) and n.is_integer()
@@ -320,11 +324,7 @@ def cmd_spectrum(args) -> int:
 
 
 def _load_initial(path: str, two_n: int):
-    try:
-        with open(path, "rb") as fh:
-            doc = json.loads(fh.read())
-    except (OSError, json.JSONDecodeError) as e:
-        raise SchemaError(f"cannot read initial-state file {path}: {e}") from None
+    doc, _ = _read_json(path, "initial-state file")
     if not isinstance(doc, dict) or "C0" not in doc:
         raise SchemaError("initial-state file must be an object with a C0 matrix")
     C0 = _from_pair_matrix(doc["C0"], "C0")
@@ -589,12 +589,14 @@ def _resolve_path(doc, path: str):
             raise SchemaError(f"sweep path {path!r} descends into a scalar")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"sweep path {path!r} must address one real scalar")
+    if node is doc and key == "n":
+        raise SchemaError("sweep path 'n' is the mode count, which cannot be swept")
     return node, key
 
 
 def cmd_sweep(args) -> int:
     doc, _ = load_model_document(args.model)
-    _resolve_path(doc, args.param)  # fail fast on a bad path
+    node, key = _resolve_path(doc, args.param)
     n = int(doc["n"])
     if args.steps < 1:
         raise SchemaError("--steps must be >= 1")
@@ -603,11 +605,11 @@ def cmd_sweep(args) -> int:
     else:
         grid = np.linspace(args.start, args.stop, args.steps)
 
-    def eval_point(value: float) -> list[str]:
-        local = copy.deepcopy(doc)
-        node, key = _resolve_path(local, args.param)
+    rows = []
+    for value in grid:
+        # in place: document_to_model copies every value it reads
         node[key] = float(value)
-        model = document_to_model(local, tol_input=args.tol)
+        model = document_to_model(doc, tol_input=args.tol)
         struct = build_structure(model)
         spectrum = rapidities(struct.X, args.tol_marginal)
         stable = spectrum.stability is Stability.STABLE
@@ -624,13 +626,11 @@ def cmd_sweep(args) -> int:
         else:
             row.append("")
             row.extend("" for _ in range(model.n))
-        return row
+        rows.append(row)
 
     header = ["value", "min_re_beta", "stability", "gap"] + [
         f"occ_{j + 1}" for j in range(n)
     ]
-    with ThreadPoolExecutor() as pool:
-        rows = list(pool.map(eval_point, grid))
     _emit(_csv(header, rows), args.output)
     return 0
 
@@ -710,7 +710,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="start", type=float, required=True)
     p.add_argument("--to", dest="stop", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--emit", choices=["csv"], default="csv")
     p.set_defaults(func=cmd_sweep)
 
     return parser

@@ -142,16 +142,13 @@ class DenseLiouvillean:
     sparse matrix ``M = U† Lmat U``, which every stage of the oracle uses;
     a generator whose ``M`` is not real to ``HERMITICITY_TOL`` times
     ``|Lmat|_F`` does not preserve Hermiticity and raises
-    :class:`NumericalError`.  The dense ``Lmat`` view is materialized
-    lazily and cached.  Instances are not safe for concurrent mutation (the
-    cache), but independent instances may be used in parallel.
+    :class:`NumericalError`.  ``Lmat`` is a dense copy of the generator.
     """
 
     def __init__(self, ops: FockOperators, Lsp: sp.spmatrix):
         self.ops = ops
         self.dim = ops.dim
         self._Lsp = Lsp.tocsr()
-        self._dense: np.ndarray | None = None
         self.U = hermitian_basis(self.dim)
         M = self.U.conj().T @ self._Lsp @ self.U
         scale = scipy.sparse.linalg.norm(self._Lsp)
@@ -166,9 +163,7 @@ class DenseLiouvillean:
 
     @property
     def Lmat(self) -> np.ndarray:
-        if self._dense is None:
-            self._dense = self._Lsp.toarray()
-        return self._dense
+        return self._Lsp.toarray()
 
     def trace_preservation_residual(self) -> float:
         """|vec(I)† Lmat| / |Lmat|_F; zero for any Lindblad generator."""

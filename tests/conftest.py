@@ -123,6 +123,14 @@ def write_model(tmp_path, doc, name="model.json"):
     return str(path)
 
 
+# bytes every JSON reader must refuse as bad input, keyed by test id
+UNPARSABLE_JSON = {
+    "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
+    "5000-digit-integer": b'{"n": ' + b"1" * 5000 + b"}",
+    "invalid-utf8": b'{"n": \x80}',
+}
+
+
 def multiset_max_delta(a, b):
     """Largest pairwise distance under the optimal matching of two multisets."""
     a = np.asarray(a, dtype=complex).ravel()

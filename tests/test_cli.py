@@ -7,6 +7,7 @@ import pytest
 from thirdq.cli import main, model_to_document
 
 from conftest import (
+    UNPARSABLE_JSON,
     load_schema,
     sec4_document,
     two_mode_document,
@@ -323,6 +324,84 @@ def test_sweep_bad_path(tmp_path, capsys):
     assert code == 2
 
 
+def test_sweep_of_n_is_refused(tmp_path, capsys):
+    # the mode count is an integer; a swept float would be truncated to it
+    path = write_model(tmp_path, sec4_document())
+    code, out, err = run_cli(
+        capsys,
+        "sweep",
+        "--model",
+        path,
+        "--param",
+        "n",
+        "--from",
+        "1",
+        "--to",
+        "1.9",
+        "--steps",
+        "3",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "'n'" in err
+
+
+def _sweep_rows(capsys, path, param, start, stop, steps):
+    code, out, _ = run_cli(
+        capsys,
+        "sweep",
+        "--model",
+        path,
+        "--param",
+        param,
+        "--from",
+        repr(float(start)),
+        "--to",
+        repr(float(stop)),
+        "--steps",
+        str(steps),
+    )
+    assert code == 0
+    return out.split("\n")[1:-1]
+
+
+def test_sweep_rows_match_single_point_sweeps(tmp_path, capsys):
+    # each point must see its own value and nothing left over from the last
+    doc = two_mode_document()
+    path = write_model(tmp_path, doc)
+    rows = _sweep_rows(capsys, path, "channels.1.k.0.0", 0.0, 1.2, 7)
+    assert len(rows) == 7
+    single = []
+    for value in np.linspace(0.0, 1.2, 7):
+        doc["channels"][1]["k"][0][0] = float(value)
+        at = write_model(tmp_path, doc, name=f"at-{len(single)}.json")
+        single += _sweep_rows(capsys, at, "channels.1.k.0.0", value, value, 1)
+    assert rows == single
+    assert len({row.split(",", 1)[1] for row in rows}) == 7
+
+
+def test_sweep_refuses_a_late_invalid_point_before_printing(tmp_path, capsys):
+    # H[0][1] leaves H[1][0] = 0.3 behind: Hermitian only at the first point
+    path = write_model(tmp_path, two_mode_document())
+    code, out, err = run_cli(
+        capsys,
+        "sweep",
+        "--model",
+        path,
+        "--param",
+        "H.0.1.0",
+        "--from",
+        "0.3",
+        "--to",
+        "1.3",
+        "--steps",
+        "5",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: H deviates from Hermiticity")
+
+
 def test_reports_are_byte_identical(tmp_path, capsys):
     path = write_model(tmp_path, sec4_document())
     outputs = []
@@ -453,6 +532,20 @@ def test_dynamics_initial_state_file(tmp_path, capsys):
     ]
     t = np.array([float(r[0]) for r in rows])
     assert np.allclose(m_abs, 0.3 * np.exp(-0.5 * t), atol=1e-10)
+
+
+@pytest.mark.parametrize("name", sorted(UNPARSABLE_JSON))
+def test_unparsable_initial_state_is_bad_input(tmp_path, capsys, name):
+    path = write_model(tmp_path, sec4_document())
+    initial = tmp_path / "initial.json"
+    initial.write_bytes(UNPARSABLE_JSON[name])
+    code, out, err = run_cli(
+        capsys, "dynamics", "--model", path, "--t1", "1", "--initial", str(initial)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed JSON in initial-state file")
+    assert str(initial) in err
 
 
 def test_verify_default_cutoff_passes(tmp_path, capsys):

@@ -27,6 +27,7 @@ from thirdq.model import validate_model
 
 from conftest import (
     SEC4_CHANNELS,
+    UNPARSABLE_JSON,
     load_schema,
     sec4_document,
     two_mode_document,
@@ -244,17 +245,11 @@ def test_verify_diagonalizes_once_with_linear_terms(monkeypatch):
     assert np.isfinite(results["mean_max_delta"])
 
 
-@pytest.mark.parametrize(
-    "raw",
-    [
-        b"[" * 100_000 + b"]" * 100_000,
-        b'{"n": ' + b"1" * 5000 + b"}",
-        b'{"n": \x80}',
-    ],
-    ids=["deep-nesting", "5000-digit-integer", "invalid-utf8"],
-)
-def test_unparsable_bytes_are_bad_input(tmp_path, capsys, raw):
+@pytest.mark.parametrize("name", sorted(UNPARSABLE_JSON))
+def test_unparsable_bytes_are_bad_input(tmp_path, capsys, name):
     path = tmp_path / "model.json"
-    path.write_bytes(raw)
+    path.write_bytes(UNPARSABLE_JSON[name])
     assert main(["analyze", "--model", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error: malformed JSON")
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed JSON in model file")
+    assert str(path) in err
