@@ -66,14 +66,13 @@ from .ness import (
     wick_moment,
 )
 from .oracle import (
-    DenseLiouvillean,
     FockOperators,
+    Liouvillean,
     OracleSteadyState,
     OracleTrajectory,
     build_fock_operators,
     build_liouvillean_matrix,
     default_cutoff,
-    normal_covariance,
     oracle_evolve,
     oracle_spectrum,
     oracle_steady_state,

@@ -8,10 +8,11 @@ invocations produce byte-identical output.
 
 Exit codes:
 
-    0  success (an Unstable verdict from analyze/sweep is a result)
-    2  unreadable/schema-invalid input, bad sweep path (or a path into n)
-    3  numerical failure (e.g. X not diagonalizable)
-    4  stable spectrum required (ness/spectrum on Marginal or Unstable)
+    0  success (an Unstable verdict from analyze/sweep/dynamics is a result)
+    2  bad input: unreadable/schema-invalid model or initial-state file, bad
+       sweep path (or a path into n), bad time grid, meaningless tolerance
+    3  numerical failure (e.g. X not diagonalizable, overflowing moments)
+    4  stable spectrum required (ness/spectrum/verify on Marginal or Unstable)
     5  enumeration or oracle dimension caps, insufficient truncation
     6  verification failure
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -32,6 +34,7 @@ from .errors import (
     ThirdQError,
 )
 from .model import DEFAULT_TOL_INPUT, BosonicModel, LindbladChannel, validate_model
+from .model import _as_complex_matrix, _as_complex_vector
 from .structure import build_structure
 from .spectral import (
     DEFAULT_TOL_MARGINAL,
@@ -327,17 +330,11 @@ def _load_initial(path: str, two_n: int):
     doc, _ = _read_json(path, "initial-state file")
     if not isinstance(doc, dict) or "C0" not in doc:
         raise SchemaError("initial-state file must be an object with a C0 matrix")
-    C0 = _from_pair_matrix(doc["C0"], "C0")
-    if C0.shape != (two_n, two_n):
-        raise DimensionMismatch(f"C0 must be {two_n}x{two_n}, got {C0.shape}")
-    m0 = (
-        _from_pair_vector(doc["m0"], "m0")
-        if "m0" in doc
-        else np.zeros(two_n, dtype=complex)
-    )
-    if m0.shape != (two_n,):
-        raise DimensionMismatch(f"m0 must have length {two_n}, got {m0.shape}")
-    return C0, m0
+    # the shape and finiteness checks of model matrices
+    C0 = _as_complex_matrix(_from_pair_matrix(doc["C0"], "C0"), two_n, "C0")
+    if "m0" not in doc:
+        return C0, np.zeros(two_n, dtype=complex)
+    return C0, _as_complex_vector(_from_pair_vector(doc["m0"], "m0"), two_n, "m0")
 
 
 def cmd_dynamics(args) -> int:
@@ -577,10 +574,10 @@ def _resolve_path(doc, path: str):
     node, key, value = None, None, doc
     for tok in path.split("."):
         if isinstance(value, list):
-            try:
-                node, key, value = value, int(tok), value[int(tok)]
-            except (ValueError, IndexError):
-                raise SchemaError(f"bad sweep path segment {tok!r} in {path!r}") from None
+            # plain decimal indices only: no sign, space or leading zero
+            if tok not in map(str, range(len(value))):
+                raise SchemaError(f"bad sweep path segment {tok!r} in {path!r}")
+            node, key, value = value, int(tok), value[int(tok)]
         elif isinstance(value, dict):
             if tok not in value:
                 raise SchemaError(f"bad sweep path segment {tok!r} in {path!r}")
@@ -639,6 +636,19 @@ def cmd_sweep(args) -> int:
 # argument parsing
 
 
+def _tolerance(positive: bool):
+    """The argparse type of every tolerance flag: finite, and > 0 or >= 0."""
+
+    def tolerance(text: str) -> float:
+        value = float(text)  # argparse reports a ValueError as an invalid value
+        if not math.isfinite(value) or value < 0 or (positive and value == 0):
+            bound = "> 0" if positive else ">= 0"
+            raise argparse.ArgumentTypeError(f"{text} is not a finite number {bound}")
+        return value
+
+    return tolerance
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thirdq",
@@ -651,13 +661,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", required=True, help="model JSON file")
         p.add_argument(
             "--tol",
-            type=float,
+            type=_tolerance(positive=False),
             default=DEFAULT_TOL_INPUT,
             help="relative tolerance for input symmetry repair",
         )
         p.add_argument(
             "--tol-marginal",
-            type=float,
+            type=_tolerance(positive=False),
             default=DEFAULT_TOL_MARGINAL,
             help="half-width of the Marginal stability band",
         )
@@ -697,11 +707,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="cross-validate against the brute-force oracle")
     common(p)
     p.add_argument("--cutoff", type=int, default=None, help="Fock levels per mode")
-    p.add_argument("--tol-moments", type=float, default=1e-6)
-    p.add_argument("--tol-wick", type=float, default=None)
-    p.add_argument("--tol-spectrum", type=float, default=None)
-    p.add_argument("--tol-trajectory", type=float, default=None)
-    p.add_argument("--trunc-tol", type=float, default=None)
+    positive = _tolerance(positive=True)
+    p.add_argument("--tol-moments", type=positive, default=1e-6)
+    p.add_argument("--tol-wick", type=positive, default=None)
+    p.add_argument("--tol-spectrum", type=positive, default=None)
+    p.add_argument("--tol-trajectory", type=positive, default=None)
+    p.add_argument("--trunc-tol", type=positive, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="scan one model scalar over a grid")

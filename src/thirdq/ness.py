@@ -139,6 +139,7 @@ def _covariance_step(X: np.ndarray, Y: np.ndarray, h: float):
     return F, Q
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is refused below
 def covariance_trajectory(
     X: np.ndarray,
     Y: np.ndarray,
@@ -207,6 +208,7 @@ def _mean_step(X: np.ndarray, g: np.ndarray, h: float):
     return E[:m, :m], E[:m, m]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is refused below
 def mean_trajectory(
     X: np.ndarray,
     g: np.ndarray | None,

@@ -1,6 +1,6 @@
 """Brute-force ground truth on a truncated Fock space.
 
-For small systems the full master-equation generator is assembled on
+For small systems the full master-equation generator is assembled sparse on
 column-vectorized density matrices and solved head-on, with no
 eigenvectors: steady state from a sparse shift-invert solve about zero,
 spectrum from dense eigenvalues only, time evolution by the action of the
@@ -14,15 +14,17 @@ vec(A rho B) = (B^T (x) A) vec(rho).  The generator of
 
 then reads
 
-    Lmat = -i (I (x) H - H^T (x) I)
-           + sum_mu [ 2 conj(L_mu) (x) L_mu
-                      - I (x) (L_mu† L_mu) - (L_mu† L_mu)^T (x) I ].
+    L = -i (I (x) H - H^T (x) I)
+        + sum_mu [ 2 conj(L_mu) (x) L_mu
+                   - I (x) (L_mu† L_mu) - (L_mu† L_mu)^T (x) I ].
 
 Every stage works in one real representation of it.  The columns of the
 unitary ``U`` are the vec'd Hermitian matrices E_mm, (E_mn + E_nm)/sqrt(2)
 and i (E_mn - E_nm)/sqrt(2) (m < n), so a Hermitian rho has real
 coordinates x = U† vec(rho).  A Lindblad generator maps Hermitian matrices
-to Hermitian matrices, so M = U† Lmat U is real; it is checked to be.
+to Hermitian matrices, so M = U† L U is real; it is checked to be.  Every
+moment is a linear functional of x: tr(A rho) = vec(A^T) . vec(rho) =
+(vec(A^T)^T U) x, one row of the readout matrix ``R``.
 
 Truncation to ``cutoff`` levels per mode is an approximation; its quality is
 checked a posteriori through the population of the top Fock level.
@@ -49,7 +51,7 @@ from .errors import (
 from .model import BosonicModel
 
 DEFAULT_MEMCAP = 4_000_000  # max entries of the dense generator matrix
-HERMITICITY_TOL = 1e-12  # max |Im M| relative to |Lmat|_F
+HERMITICITY_TOL = 1e-12  # max |Im M| relative to |L|_F
 MEMCAP_ENV = "THIRDQ_MEMCAP"
 
 
@@ -80,31 +82,31 @@ class FockOperators:
 
     n: int
     cutoff: int
-    a: tuple[np.ndarray, ...]
+    a: tuple[sp.csr_matrix, ...]
 
     @property
     def dim(self) -> int:
         return self.cutoff**self.n
 
 
-def build_fock_operators(n: int, cutoff: int, memcap: int | None = None) -> FockOperators:
-    """Ladder matrices lifted to the n-mode product space.
+def _lift(op: sp.spmatrix, j: int, n: int, cutoff: int) -> sp.csr_matrix:
+    """``op`` on mode j of n, identity on every other; mode 1 is leftmost."""
+    left = sp.identity(cutoff**j, format="csr")
+    right = sp.identity(cutoff ** (n - j - 1), format="csr")
+    return sp.kron(sp.kron(left, op), right, format="csr")
 
-    The single-mode matrix has (a)_{m, m+1} = sqrt(m + 1); mode j acts as
-    identity on every other factor, with mode 1 the leftmost Kronecker
-    factor.
+
+def build_fock_operators(n: int, cutoff: int, memcap: int | None = None) -> FockOperators:
+    """Sparse ladder matrices lifted to the n-mode product space.
+
+    The single-mode matrix has (a)_{m, m+1} = sqrt(m + 1).
     """
     if cutoff < 2:
         raise DimensionCap(f"cutoff must be >= 2, got {cutoff}")
-    dim = cutoff**n
-    _check_cap(dim, memcap)
-    a1 = np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), 1).astype(complex)
-    ops = []
-    for j in range(n):
-        left = np.eye(cutoff**j, dtype=complex)
-        right = np.eye(cutoff ** (n - j - 1), dtype=complex)
-        ops.append(np.kron(np.kron(left, a1), right))
-    return FockOperators(n=n, cutoff=cutoff, a=tuple(ops))
+    _check_cap(cutoff**n, memcap)
+    a1 = sp.diags(np.sqrt(np.arange(1, cutoff, dtype=float)), 1)
+    a = tuple(_lift(a1, j, n, cutoff) for j in range(n))
+    return FockOperators(n=n, cutoff=cutoff, a=a)
 
 
 def hermitian_basis(dim: int) -> sp.csr_matrix:
@@ -134,48 +136,86 @@ def hermitian_basis(dim: int) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=(dim * dim, dim * dim))
 
 
-class DenseLiouvillean:
+def _readout_operators(ops: FockOperators) -> sp.csr_matrix:
+    """The rows vec(A^T)^T, so that row A times vec(rho) is tr(A rho).
+
+    Under column stacking vec(A^T) is A flattened row by row.  The operators
+    A come in the order :func:`_moments` splits: a_j a_k, a†_j a†_k and
+    a†_k a_j for every (j, k); a_j; a†_j; a†_j a†_j a_j a_j; the projector
+    on the top level of mode j; the identity.
+    """
+    n, d, a = ops.n, ops.cutoff, ops.a
+    ad = [m.conj().T for m in a]
+    pairs = [(j, k) for j in range(n) for k in range(n)]
+    top = sp.diags((np.arange(d) == d - 1).astype(float))
+    rows = (
+        [a[j] @ a[k] for j, k in pairs]
+        + [ad[j] @ ad[k] for j, k in pairs]
+        + [ad[k] @ a[j] for j, k in pairs]
+        + list(a)
+        + ad
+        + [ad[j] @ ad[j] @ a[j] @ a[j] for j in range(n)]
+        + [_lift(top, j, n, d) for j in range(n)]
+        + [sp.identity(ops.dim)]
+    )
+    coo = [A.tocoo() for A in rows]
+    data = np.concatenate([A.data for A in coo])
+    index = np.repeat(np.arange(len(coo)), [A.nnz for A in coo])
+    flat = np.concatenate([A.row * ops.dim + A.col for A in coo])
+    return sp.csr_matrix((data, (index, flat)), shape=(len(coo), ops.dim**2))
+
+
+def _moments(n: int, y: np.ndarray):
+    """Split readout values ``y`` (last axis: the rows of ``R``) by operator.
+
+    Returns <a_j a_k>, <a†_j a†_k>, <a†_k a_j> (each (..., n, n)), <a_j>,
+    <a†_j>, <a†_j a†_j a_j a_j>, top-level populations (each (..., n)), trace.
+    """
+    nn = n * n
+    parts = np.split(y, np.cumsum([nn, nn, nn, n, n, n, n]), axis=-1)
+    pairs = [p.reshape(y.shape[:-1] + (n, n)) for p in parts[:3]]
+    return (*pairs, *parts[3:7], parts[7][..., 0])
+
+
+class Liouvillean:
     """The master-equation generator on vec'd density matrices.
 
-    The matrix is assembled sparse.  On construction it is also written in
+    ``L`` is the sparse generator.  On construction it is also written in
     the Hermitian basis ``U`` (see :func:`hermitian_basis`) as the real
-    sparse matrix ``M = U† Lmat U``, which every stage of the oracle uses;
-    a generator whose ``M`` is not real to ``HERMITICITY_TOL`` times
-    ``|Lmat|_F`` does not preserve Hermiticity and raises
-    :class:`NumericalError`.  ``Lmat`` is a dense copy of the generator.
+    sparse matrix ``M = U† L U``, which every stage of the oracle uses; a
+    generator whose ``M`` is not real to ``HERMITICITY_TOL`` times
+    ``|L|_F`` does not preserve Hermiticity and raises
+    :class:`NumericalError`.  The sparse readout ``R`` gives every reported
+    moment of a state from its coordinates: ``R @ x``.
     """
 
-    def __init__(self, ops: FockOperators, Lsp: sp.spmatrix):
+    def __init__(self, ops: FockOperators, L: sp.spmatrix):
         self.ops = ops
         self.dim = ops.dim
-        self._Lsp = Lsp.tocsr()
+        self.L = L.tocsr()
         self.U = hermitian_basis(self.dim)
-        M = self.U.conj().T @ self._Lsp @ self.U
-        scale = scipy.sparse.linalg.norm(self._Lsp)
+        M = self.U.conj().T @ self.L @ self.U
+        scale = scipy.sparse.linalg.norm(self.L)
         imag = np.abs(M.data.imag).max(initial=0.0)
         if imag > HERMITICITY_TOL * scale:
             raise NumericalError(
                 f"generator does not preserve Hermiticity: |Im M| = {imag:.3e} "
-                f"against |Lmat|_F = {scale:.3e}"
+                f"against |L|_F = {scale:.3e}"
             )
         self.M = M.real.tocsc()
         self.M.eliminate_zeros()
-
-    @property
-    def Lmat(self) -> np.ndarray:
-        return self._Lsp.toarray()
+        self.R = (_readout_operators(ops) @ self.U).tocsr()
 
     def trace_preservation_residual(self) -> float:
-        """|vec(I)† Lmat| / |Lmat|_F; zero for any Lindblad generator."""
-        vec_id = np.eye(self.dim, dtype=complex).ravel(order="F")
-        lhs = np.linalg.norm(vec_id.conj() @ self._Lsp)
-        scale = scipy.sparse.linalg.norm(self._Lsp)
+        """|vec(I)† L| / |L|_F; zero for any Lindblad generator."""
+        vec_id = (np.arange(self.dim**2) % (self.dim + 1) == 0).astype(complex)
+        lhs = np.linalg.norm(vec_id @ self.L)
+        scale = scipy.sparse.linalg.norm(self.L)
         return float(lhs / scale) if scale > 0 else float(lhs)
 
 
 def _assemble_operators(model: BosonicModel, ops: FockOperators):
-    n = model.n
-    a = ops.a
+    n, a = model.n, ops.a
     ad = [m.conj().T for m in a]
     H = sum(
         model.H[j, k] * (ad[j] @ a[k]) for j in range(n) for k in range(n)
@@ -191,30 +231,23 @@ def _assemble_operators(model: BosonicModel, ops: FockOperators):
     for ch in model.channels:
         L = sum(ch.l[j] * a[j] + ch.k[j] * ad[j] for j in range(n))
         if ch.offset != 0:
-            L = L + ch.offset * np.eye(ops.dim)
+            L = L + ch.offset * sp.identity(ops.dim)
         jumps.append(L)
     return H, jumps
 
 
 def build_liouvillean_matrix(
     model: BosonicModel, cutoff: int, memcap: int | None = None
-) -> DenseLiouvillean:
+) -> Liouvillean:
     """Materialize the generator for ``model`` at the given Fock cutoff."""
     ops = build_fock_operators(model.n, cutoff, memcap=memcap)
     H, jumps = _assemble_operators(model, ops)
     I = sp.identity(ops.dim, dtype=complex, format="csr")
-    Hs = sp.csr_matrix(H)
-    Lmat = -1j * (sp.kron(I, Hs) - sp.kron(Hs.T, I))
-    for L in jumps:
-        Ls = sp.csr_matrix(L)
-        LdL = (Ls.conj().T @ Ls).tocsr()
-        Lmat = (
-            Lmat
-            + 2 * sp.kron(Ls.conj(), Ls)
-            - sp.kron(I, LdL)
-            - sp.kron(LdL.T, I)
-        )
-    return DenseLiouvillean(ops, Lmat)
+    L = -1j * (sp.kron(I, H) - sp.kron(H.T, I))
+    for J in jumps:
+        JdJ = J.conj().T @ J
+        L = L + 2 * sp.kron(J.conj(), J) - sp.kron(I, JdJ) - sp.kron(JdJ.T, I)
+    return Liouvillean(ops, L)
 
 
 @dataclass(frozen=True)
@@ -237,55 +270,25 @@ class OracleTrajectory:
     trace: np.ndarray
 
 
-def _moment_tables(ops: FockOperators, rho: np.ndarray):
-    n = ops.n
-    a = ops.a
-    ad = [m.conj().T for m in a]
-    pair_aa = np.empty((n, n), dtype=complex)
-    pair_adad = np.empty((n, n), dtype=complex)
-    normal_ad_a = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            pair_aa[j, k] = np.trace(a[j] @ a[k] @ rho)
-            pair_adad[j, k] = np.trace(ad[j] @ ad[k] @ rho)
-            normal_ad_a[j, k] = np.trace(ad[k] @ a[j] @ rho)  # <a†_k a_j>
-    return pair_aa, pair_adad, normal_ad_a
-
-
-def normal_covariance(ops: FockOperators, rho: np.ndarray) -> np.ndarray:
-    """Normal-ordered correlator matrix <: b_r b_s :> in block layout."""
-    pair_aa, pair_adad, normal_ad_a = _moment_tables(ops, rho)
-    return np.block([[pair_aa, normal_ad_a], [normal_ad_a.T, pair_adad]])
-
-
-def _top_level_populations(ops: FockOperators, rho: np.ndarray) -> np.ndarray:
-    d, n = ops.cutoff, ops.n
-    diag = np.real(np.diag(rho)).reshape((d,) * n)
-    return np.array(
-        [np.take(diag, d - 1, axis=j).sum() for j in range(n)], dtype=float
-    )
-
-
 def oracle_steady_state(
-    lio: DenseLiouvillean, top_level_tol: float = 1e-8
+    lio: Liouvillean, top_level_tol: float = 1e-8
 ) -> OracleSteadyState:
     """Steady state from a sparse shift-invert solve of ``M`` about zero.
 
     The two eigenvalues of ``M`` nearest a tiny shift are found by ARPACK
     from the fixed start vector vec(I); the one nearest zero gives the
-    null vector, which is scaled to unit trace and mapped back to a
-    Hermitian matrix.  A second eigenvalue indistinguishable from zero
-    raises :class:`DegenerateZeroEigenvalue` (no unique steady state); a
-    top-level Fock population above ``top_level_tol`` raises
+    null vector, whose moments (its trace among them) are read off with
+    ``R`` and scaled to unit trace.  A second eigenvalue indistinguishable
+    from zero raises :class:`DegenerateZeroEigenvalue` (no unique steady
+    state); a top-level Fock population above ``top_level_tol`` raises
     :class:`TruncationInsufficient` because the reported moments would be
     dominated by truncation bias.
     """
     dim = lio.dim
-    diag = np.zeros(dim * dim)
-    diag[:dim] = 1.0  # coordinates of the identity; also the trace functional
+    v0 = (np.arange(dim * dim) < dim).astype(float)  # coordinates of the identity
     # shift-invert about a tiny nonzero shift; the zero mode dominates
     vals, vecs = scipy.sparse.linalg.eigs(
-        lio.M, k=2, sigma=1e-9, which="LM", v0=diag
+        lio.M, k=2, sigma=1e-9, which="LM", v0=v0
     )
     order = np.argsort(np.abs(vals))
     if np.abs(vals[order[1]]) < 1e-9:
@@ -294,29 +297,19 @@ def oracle_steady_state(
         )
     lam = vals[order[0]]
     x = vecs[:, order[0]]
-    tr = diag @ x
+    y = lio.R @ x
+    tr = y[-1]
     if np.abs(tr) < 1e-12:
         raise DegenerateZeroEigenvalue("null vector has vanishing trace")
-    # real coordinates in the Hermitian basis give an exactly Hermitian rho
-    rho = (lio.U @ (x / tr).real).reshape((dim, dim), order="F")
-
-    top = _top_level_populations(lio.ops, rho)
+    pair_aa, pair_adad, normal_ad_a, _, _, wick4, top, _ = _moments(lio.ops.n, y / tr)
+    top = top.real
     if top.max() > top_level_tol:
         raise TruncationInsufficient(
             f"top Fock level holds population {top.max():.3e} "
             f"(tolerance {top_level_tol:.1e}); increase the cutoff"
         )
-
-    pair_aa, pair_adad, normal_ad_a = _moment_tables(lio.ops, rho)
-    n = lio.ops.n
-    a = lio.ops.a
-    wick4 = np.array(
-        [
-            np.trace(a[j].conj().T @ a[j].conj().T @ a[j] @ a[j] @ rho)
-            for j in range(n)
-        ],
-        dtype=complex,
-    )
+    # real coordinates in the Hermitian basis give an exactly Hermitian rho
+    rho = (lio.U @ (x / tr).real).reshape((dim, dim), order="F")
     return OracleSteadyState(
         rho=rho,
         eigenvalue=complex(lam),
@@ -329,7 +322,7 @@ def oracle_steady_state(
     )
 
 
-def oracle_spectrum(lio: DenseLiouvillean, count: int) -> np.ndarray:
+def oracle_spectrum(lio: Liouvillean, count: int) -> np.ndarray:
     """The ``count`` slowest generator eigenvalues, Re descending.
 
     Eigenvalues only, from the dense real ``M`` one block at a time: a
@@ -350,18 +343,19 @@ def oracle_spectrum(lio: DenseLiouvillean, count: int) -> np.ndarray:
     return w[order][:count].copy()
 
 
-def vacuum_state(lio: DenseLiouvillean) -> np.ndarray:
+def vacuum_state(lio: Liouvillean) -> np.ndarray:
     rho = np.zeros((lio.dim, lio.dim), dtype=complex)
     rho[0, 0] = 1.0
     return rho
 
 
-def oracle_evolve(lio: DenseLiouvillean, rho0: np.ndarray, times) -> OracleTrajectory:
-    """Propagate vec(rho) = expm(Lmat t) vec(rho0) on a uniform time grid.
+def oracle_evolve(lio: Liouvillean, rho0: np.ndarray, times) -> OracleTrajectory:
+    """Propagate vec(rho) = expm(L t) vec(rho0) on a uniform time grid.
 
     One call of ``scipy.sparse.linalg.expm_multiply`` evolves the real
-    coordinates U† vec(rho0) under ``M`` across the whole grid.  A grid of
-    fewer than two times, or whose steps differ, raises :class:`InputError`.
+    coordinates U† vec(rho0) under ``M`` across the whole grid, and one
+    product with ``R`` reads the moments at every time.  A grid of fewer
+    than two times, or whose steps differ, raises :class:`InputError`.
     Returns normal-ordered covariance matrices, first moments and the trace
     at every time.
     """
@@ -378,19 +372,11 @@ def oracle_evolve(lio: DenseLiouvillean, rho0: np.ndarray, times) -> OracleTraje
     xs = scipy.sparse.linalg.expm_multiply(
         lio.M, x0, start=times[0], stop=times[-1], num=times.size, endpoint=True
     )
-    vecs = (lio.U @ xs.T).T
-    n = lio.ops.n
-    a = lio.ops.a
-    ad = [m.conj().T for m in a]
-    cov = np.empty((times.size, 2 * n, 2 * n), dtype=complex)
-    means = np.empty((times.size, 2 * n), dtype=complex)
-    trace = np.empty(times.size, dtype=complex)
-    for i, vec_t in enumerate(vecs):
-        rho_t = vec_t.reshape((lio.dim, lio.dim), order="F")
-        cov[i] = normal_covariance(lio.ops, rho_t)
-        means[i, :n] = [np.trace(a[j] @ rho_t) for j in range(n)]
-        means[i, n:] = [np.trace(ad[j] @ rho_t) for j in range(n)]
-        trace[i] = np.trace(rho_t)
+    pair_aa, pair_adad, normal_ad_a, mean_a, mean_ad, _, _, trace = _moments(
+        lio.ops.n, (lio.R @ xs.T).T
+    )
+    cov = np.block([[pair_aa, normal_ad_a], [normal_ad_a.swapaxes(1, 2), pair_adad]])
+    means = np.concatenate([mean_a, mean_ad], axis=1)
     return OracleTrajectory(times=times, cov=cov, means=means, trace=trace)
 
 

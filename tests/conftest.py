@@ -131,6 +131,33 @@ UNPARSABLE_JSON = {
 }
 
 
+def dense_ladders(n: int, cutoff: int) -> list[np.ndarray]:
+    """Dense annihilation operators of n modes at ``cutoff`` levels each.
+
+    (a)_{m, m+1} = sqrt(m + 1) on mode j, identity on the others, mode 1
+    the leftmost Kronecker factor: the reference for the oracle's sparse
+    ladders and readout.
+    """
+    a1 = np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), 1)
+    return [
+        np.kron(np.kron(np.eye(cutoff**j), a1), np.eye(cutoff ** (n - j - 1)))
+        for j in range(n)
+    ]
+
+
+def normal_covariance(a, rho):
+    """Dense <: b_r b_s :> of ``rho`` in block layout, from dense ladders ``a``."""
+    n = len(a)
+    ad = [m.conj().T for m in a]
+    def table(f):
+        return np.array([[np.trace(f(j, k) @ rho) for k in range(n)] for j in range(n)])
+
+    pair_aa = table(lambda j, k: a[j] @ a[k])
+    pair_adad = table(lambda j, k: ad[j] @ ad[k])
+    normal_ad_a = table(lambda j, k: ad[k] @ a[j])  # <a†_k a_j>
+    return np.block([[pair_aa, normal_ad_a], [normal_ad_a.T, pair_adad]])
+
+
 def multiset_max_delta(a, b):
     """Largest pairwise distance under the optimal matching of two multisets."""
     a = np.asarray(a, dtype=complex).ravel()

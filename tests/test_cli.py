@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import jsonschema
 import numpy as np
@@ -576,3 +577,95 @@ def test_dynamics_bad_grid_is_bad_input(tmp_path, capsys, flags):
     path = write_model(tmp_path, sec4_document())
     code, _, _ = run_cli(capsys, "dynamics", "--model", path, *flags)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "param",
+    ["channels.1.k.0.-2", "channels.-1.k.0.0", "channels.+0.k.0.0"],
+    ids=["-2", "-1", "+0"],
+)
+def test_sweep_signed_index_is_refused(tmp_path, capsys, param):
+    # Python would take -2 and -1 from the end and +0 as 0: each aliases another scalar
+    path = write_model(tmp_path, sec4_document())
+    code, out, err = run_cli(
+        capsys, "sweep", "--model", path, "--param", param,
+        "--from", "0", "--to", "0.5", "--steps", "2",
+    )
+    assert code == 2
+    assert out == ""
+    assert "bad sweep path segment" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ness", "--tol-marginal", "-1"),
+        ("spectrum", "--tol-marginal", "-1", "-M", "1"),
+        ("analyze", "--tol", "nan"),
+        ("analyze", "--tol", "inf"),
+        ("verify", "--tol-moments", "-1"),
+        ("verify", "--tol-moments", "0"),
+        ("verify", "--tol-wick", "nan"),
+        ("verify", "--tol-spectrum", "0"),
+        ("verify", "--tol-trajectory", "-0.001"),
+        ("verify", "--trunc-tol", "inf"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_meaningless_tolerances_are_refused(tmp_path, capsys, argv):
+    # an unstable model: a negative Marginal band would call it Stable
+    path = write_model(tmp_path, model_to_document(unstable_sec4_model()))
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--model", path, *argv[1:]])
+    assert exc.value.code == 2
+    assert "is not a finite number" in capsys.readouterr().err
+
+
+def test_zero_tolerances_are_accepted(tmp_path, capsys):
+    path = write_model(tmp_path, sec4_document())
+    code, _, _ = run_cli(
+        capsys, "analyze", "--model", path, "--tol", "0", "--tol-marginal", "0"
+    )
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "initial, name",
+    [
+        ({"C0": [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}, "C0"),
+        (
+            {
+                "C0": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                "m0": [[float("inf"), 0.0], [0.0, 0.0]],
+            },
+            "m0",
+        ),
+    ],
+    ids=["C0-NaN", "m0-Infinity"],
+)
+def test_non_finite_initial_state_is_bad_input(tmp_path, capsys, initial, name):
+    path = write_model(tmp_path, sec4_document())
+    file = tmp_path / "initial.json"
+    file.write_text(json.dumps(initial))  # writes the NaN and Infinity literals
+    code, out, err = run_cli(
+        capsys, "dynamics", "--model", path, "--t1", "1", "--steps", "3",
+        "--initial", str(file),
+    )
+    assert code == 2
+    assert out == ""
+    assert f"error: {name} contains non-finite entries" in err
+
+
+def test_overflowing_dynamics_prints_only_the_refusal(tmp_path, capsys):
+    path = write_model(tmp_path, model_to_document(unstable_sec4_model()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "dynamics", "--model", path, "--t1", "3000", "--steps", "4"
+        )
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [
+        "warning: unstable rapidity spectrum; moments amplify without bound",
+        "error: covariance overflows the float range on this grid",
+    ]

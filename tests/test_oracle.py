@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,10 +8,10 @@ import scipy.sparse
 
 from thirdq import (
     DegenerateZeroEigenvalue,
-    DenseLiouvillean,
     DimensionCap,
     InputError,
     LindbladChannel,
+    Liouvillean,
     NumericalError,
     TruncationInsufficient,
     build_fock_operators,
@@ -17,7 +20,6 @@ from thirdq import (
     covariance_trajectory,
     mean_source,
     mean_trajectory,
-    normal_covariance,
     oracle_evolve,
     oracle_spectrum,
     oracle_steady_state,
@@ -31,7 +33,9 @@ from thirdq import (
 
 from conftest import (
     closed_model,
+    dense_ladders,
     multiset_max_delta,
+    normal_covariance,
     random_model,
     sec4_model,
     two_mode_model,
@@ -40,14 +44,14 @@ from conftest import (
 
 def test_single_mode_ladder_matrix():
     ops = build_fock_operators(1, 3)
-    a = ops.a[0]
+    a = ops.a[0].toarray()
     assert np.array_equal(a, [[0, 1, 0], [0, 0, np.sqrt(2)], [0, 0, 0]])
     assert np.allclose(a.conj().T @ a, np.diag([0.0, 1.0, 2.0]), atol=1e-15, rtol=0)
 
 
 def test_two_mode_tensor_structure():
     ops = build_fock_operators(2, 2)
-    prod = ops.a[0] @ ops.a[1]
+    prod = (ops.a[0] @ ops.a[1]).toarray()
     expected = np.zeros((4, 4))
     expected[0, 3] = 1.0  # |11> -> |00>
     assert np.array_equal(prod, expected)
@@ -74,9 +78,9 @@ def test_hand_built_decay_generator():
         ],
         dtype=complex,
     )
-    assert np.array_equal(lio.Lmat, expected)
+    assert np.array_equal(lio.L.toarray(), expected)
     # the excited-state population mode decays at rate 2
-    assert sorted(np.linalg.eigvals(lio.Lmat).real)[0] == pytest.approx(-2.0)
+    assert sorted(np.linalg.eigvals(lio.L.toarray()).real)[0] == pytest.approx(-2.0)
 
 
 def test_trace_preservation_random_models(rng):
@@ -225,13 +229,14 @@ def test_mean_dynamics_validated_against_oracle():
     sp = rapidities(struct.X)
     mstar = steady_mean(struct.X, g, sp)
     ss = oracle_steady_state(lio)
-    oracle_mean = np.trace(lio.ops.a[0] @ ss.rho)
+    a = dense_ladders(1, 30)
+    oracle_mean = np.trace(a[0] @ ss.rho)
     assert abs(mstar[0] - oracle_mean) <= 1e-6
     assert abs(mstar[1] - np.conj(oracle_mean)) <= 1e-6
     # second moments acquire the mean-field contribution on top of Z
     Z = solve(struct.X, struct.Y, sp).Z
     raw = Z + np.outer(mstar, mstar)
-    ss_cov = normal_covariance(lio.ops, ss.rho)
+    ss_cov = normal_covariance(a, ss.rho)
     assert np.abs(raw - ss_cov).max() <= 1e-5
 
 
@@ -256,7 +261,7 @@ def test_real_form_spectrum_matches_dense_eig(rng, n, linear):
         lio = build_liouvillean_matrix(model, 4)
         assert lio.M.dtype == np.float64
         got = oracle_spectrum(lio, lio.dim**2)
-        ref = np.linalg.eigvals(lio.Lmat)
+        ref = np.linalg.eigvals(lio.L.toarray())
         assert multiset_max_delta(got, ref) <= 1e-10 * np.abs(ref).max()
 
 
@@ -274,12 +279,12 @@ def test_evolution_matches_matrix_exponential(rng):
     rho0 /= np.trace(rho0)
     times = np.linspace(0.5, 3.5, 7)
     traj = oracle_evolve(lio, rho0, times)
-    a = lio.ops.a[0]
+    a = dense_ladders(1, 8)
     for i, t in enumerate(times):
-        vec_t = scipy.linalg.expm(lio.Lmat * t) @ rho0.ravel(order="F")
+        vec_t = scipy.linalg.expm(lio.L.toarray() * t) @ rho0.ravel(order="F")
         rho_t = vec_t.reshape((8, 8), order="F")
-        assert np.abs(traj.cov[i] - normal_covariance(lio.ops, rho_t)).max() <= 1e-10
-        assert abs(traj.means[i, 0] - np.trace(a @ rho_t)) <= 1e-10
+        assert np.abs(traj.cov[i] - normal_covariance(a, rho_t)).max() <= 1e-10
+        assert abs(traj.means[i, 0] - np.trace(a[0] @ rho_t)) <= 1e-10
         assert abs(traj.trace[i] - np.trace(rho_t)) <= 1e-10
 
 
@@ -292,4 +297,56 @@ def test_evolution_refuses_non_uniform_grid():
 def test_generator_breaking_hermiticity_is_refused():
     ops = build_fock_operators(1, 3)
     with pytest.raises(NumericalError):
-        DenseLiouvillean(ops, 1j * scipy.sparse.identity(9, dtype=complex))
+        Liouvillean(ops, 1j * scipy.sparse.identity(9, dtype=complex))
+
+
+@pytest.mark.parametrize("n, cutoff", [(1, 5), (2, 3)])
+def test_readout_rows_are_dense_traces(rng, n, cutoff):
+    # every row of R read against tr(A rho) of a random Hermitian rho
+    lio = build_liouvillean_matrix(random_model(rng, n=n), cutoff)
+    a = dense_ladders(n, cutoff)
+    ad = [m.conj().T for m in a]
+    pairs = [(j, k) for j in range(n) for k in range(n)]
+    level = np.indices((cutoff,) * n).reshape(n, -1)  # level of mode j in each state
+    operators = (
+        [a[j] @ a[k] for j, k in pairs]
+        + [ad[j] @ ad[k] for j, k in pairs]
+        + [ad[k] @ a[j] for j, k in pairs]
+        + a
+        + ad
+        + [ad[j] @ ad[j] @ a[j] @ a[j] for j in range(n)]
+        + [np.diag((level[j] == cutoff - 1).astype(float)) for j in range(n)]
+        + [np.eye(lio.dim)]
+    )
+    assert lio.R.shape == (len(operators), lio.dim**2)
+    for _ in range(3):
+        A = rng.normal(size=(lio.dim,) * 2) + 1j * rng.normal(size=(lio.dim,) * 2)
+        rho = (A + A.conj().T) / np.linalg.norm(A + A.conj().T)
+        x = lio.U.conj().T @ rho.ravel(order="F")
+        assert np.abs(x.imag).max() <= 1e-15
+        got = lio.R @ x.real
+        want = np.array([np.trace(op @ rho) for op in operators])
+        assert np.abs(got - want).max() <= 1e-12
+
+
+def test_oracle_imports_nothing_from_the_analytic_pipeline():
+    # verify certifies the analytic results only while the oracle is independent
+    source = Path(__file__).parents[1] / "src" / "thirdq" / "oracle.py"
+    tree = ast.parse(source.read_text())
+    relative = {
+        node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+    }
+    absolute = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    } | {
+        node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 0
+    }
+    assert relative <= {"errors", "model"}
+    assert not any(name.split(".")[0] == "thirdq" for name in absolute)
