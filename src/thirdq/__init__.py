@@ -72,11 +72,11 @@ from .oracle import (
     OracleTrajectory,
     build_fock_operators,
     build_liouvillean_matrix,
-    default_cutoff,
     oracle_evolve,
     oracle_spectrum,
     oracle_steady_state,
     vacuum_state,
 )
+from .verify import default_cutoff, run_verification
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -10,7 +10,8 @@ Exit codes:
 
     0  success (an Unstable verdict from analyze/sweep/dynamics is a result)
     2  bad input: unreadable/schema-invalid model or initial-state file, bad
-       sweep path (or a path into n), bad time grid, meaningless tolerance
+       sweep path (or a path into n), bad time grid, meaningless tolerance,
+       verify cutoff below 2, non-integer THIRDQ_MEMCAP
     3  numerical failure (e.g. X not diagonalizable, overflowing moments)
     4  stable spectrum required (ness/spectrum/verify on Marginal or Unstable)
     5  enumeration or oracle dimension caps, insufficient truncation
@@ -39,6 +40,7 @@ from .structure import build_structure
 from .spectral import (
     DEFAULT_TOL_MARGINAL,
     Stability,
+    classify_stability,
     liouville_spectrum,
     rapidities,
     spectral_gap,
@@ -49,20 +51,9 @@ from .ness import (
     mean_source,
     mean_trajectory,
     physical_correlators,
-    steady_mean,
-    wick_moment,
 )
-from .oracle import (
-    build_liouvillean_matrix,
-    default_cutoff,
-    memcap_from_env,
-    oracle_spectrum,
-    oracle_steady_state,
-    oracle_evolve,
-    vacuum_state,
-)
-
-TRACE_PRESERVATION_TOL = 1e-10
+from .oracle import memcap_from_env
+from .verify import run_verification
 
 
 # ---------------------------------------------------------------------------
@@ -251,25 +242,21 @@ def _csv(header: list[str], rows: list[list[str]]) -> str:
 # commands
 
 
-def _analysis_results(model: BosonicModel, tol_marginal: float) -> dict:
+def cmd_analyze(args) -> int:
+    model, model_hash = _load_model(args)
     struct = build_structure(model)
-    spectrum = rapidities(struct.X, tol_marginal)
+    spectrum = rapidities(struct.X, args.tol_marginal)
     stable = spectrum.stability is Stability.STABLE
     trace_resid = abs(np.trace(struct.X) - struct.S0) / max(1.0, abs(struct.S0))
-    return {
+    results = {
         "n": model.n,
         "rapidities": _pair_vector(spectrum.beta),
         "stability": spectrum.stability.value,
-        "spectral_gap": float(2.0 * spectrum.beta.real.min()) if stable else None,
+        "spectral_gap": spectral_gap(spectrum) if stable else None,
         "cond_P": float(spectrum.cond_P),
         "S0": _pair(struct.S0),
         "trace_identity_residual": float(trace_resid),
     }
-
-
-def cmd_analyze(args) -> int:
-    model, model_hash = _load_model(args)
-    results = _analysis_results(model, args.tol_marginal)
     text = _report(
         "analyze",
         model_hash,
@@ -284,7 +271,7 @@ def cmd_ness(args) -> int:
     model, model_hash = _load_model(args)
     struct = build_structure(model)
     spectrum = rapidities(struct.X, args.tol_marginal)
-    sol = solve(struct.X, struct.Y, spectrum, tol_marginal=args.tol_marginal)
+    sol = solve(struct.X, struct.Y, spectrum)
     corr = physical_correlators(sol.Z, model.n)
     results = {
         "Z": _pair_matrix(sol.Z),
@@ -313,9 +300,7 @@ def cmd_spectrum(args) -> int:
     model, _ = _load_model(args)
     struct = build_structure(model)
     spectrum = rapidities(struct.X, args.tol_marginal)
-    modes = liouville_spectrum(
-        spectrum.beta, args.max_excitation, tol_marginal=args.tol_marginal
-    )
+    modes = liouville_spectrum(spectrum, args.max_excitation)
     two_n = 2 * model.n
     header = [f"m_{i + 1}" for i in range(two_n)] + ["re_lambda", "im_lambda"]
     rows = [
@@ -340,7 +325,6 @@ def _load_initial(path: str, two_n: int):
 def cmd_dynamics(args) -> int:
     model, _ = _load_model(args)
     struct = build_structure(model)
-    spectrum = rapidities(struct.X, args.tol_marginal)
     n, two_n = model.n, 2 * model.n
     if args.initial == "vacuum":
         C0 = np.zeros((two_n, two_n), dtype=complex)
@@ -355,7 +339,10 @@ def cmd_dynamics(args) -> int:
     else:
         times = np.linspace(args.t0, args.t1, args.steps)
 
-    if spectrum.stability is Stability.UNSTABLE:
+    # eigenvalues only: the propagator needs no eigenbasis, so a defective X
+    # is no reason to refuse
+    stability = classify_stability(np.linalg.eigvals(struct.X), args.tol_marginal)
+    if stability is Stability.UNSTABLE:
         sys.stderr.write(
             "warning: unstable rapidity spectrum; moments amplify without bound\n"
         )
@@ -394,169 +381,20 @@ def cmd_dynamics(args) -> int:
 # verification
 
 
-def _verify_tolerances(
-    tol_moments: float,
-    tol_wick: float | None,
-    tol_spectrum: float | None,
-    tol_trajectory: float | None,
-    trunc_tol: float | None,
-) -> dict:
-    """Verify gates in report order; unset ones derive from ``tol_moments``."""
-    return {
-        "tol_wick": 10 * tol_moments if tol_wick is None else tol_wick,
-        "tol_spectrum": 100 * tol_moments if tol_spectrum is None else tol_spectrum,
-        "tol_trajectory": 10 * tol_moments
-        if tol_trajectory is None
-        else tol_trajectory,
-        "trunc_tol": max(1e-8, tol_moments) if trunc_tol is None else trunc_tol,
-    }
-
-
-def run_verification(
-    model: BosonicModel,
-    cutoff: int | None = None,
-    memcap: int | None = None,
-    tol_moments: float = 1e-6,
-    tol_wick: float | None = None,
-    tol_spectrum: float | None = None,
-    tol_trajectory: float | None = None,
-    trunc_tol: float | None = None,
-    tol_marginal: float = DEFAULT_TOL_MARGINAL,
-) -> dict:
-    """Cross-validate the analytic pipeline against the brute-force oracle.
-
-    Returns a JSON-ready dict with side-by-side deltas and a ``pass`` flag.
-    Gate defaults derive from ``tol_moments``: wick and trajectory at 10x,
-    spectrum at 100x, truncation at max(1e-8, tol_moments).
-    """
-    from scipy.optimize import linear_sum_assignment  # only verify needs it
-
-    tol_wick, tol_spectrum, tol_trajectory, trunc_tol = _verify_tolerances(
-        tol_moments, tol_wick, tol_spectrum, tol_trajectory, trunc_tol
-    ).values()
-
-    n = model.n
-    struct = build_structure(model)
-    spectrum = rapidities(struct.X, tol_marginal)
-    sol = solve(struct.X, struct.Y, spectrum, tol_marginal=tol_marginal)
-    corr = physical_correlators(sol.Z, n)
-    gap = spectral_gap(spectrum.beta, tol_marginal)
-
-    linear = model.has_linear_terms
-    ma = (
-        steady_mean(struct.X, mean_source(model), spectrum)[:n]
-        if linear
-        else np.zeros(n, dtype=complex)
-    )
-    if cutoff is None:
-        cutoff = default_cutoff(
-            corr.occupations, np.diag(corr.pair_aa), np.abs(ma) ** 2, tol_moments
-        )
-    lio = build_liouvillean_matrix(model, cutoff, memcap=memcap)
-    trace_resid = lio.trace_preservation_residual()
-    ss = oracle_steady_state(lio, top_level_tol=trunc_tol)
-
-    if linear:
-        pair_aa_ref = corr.pair_aa + np.outer(ma, ma)
-        pair_adad_ref = corr.pair_adad + np.outer(ma.conj(), ma.conj())
-        normal_ad_a_ref = corr.normal_ad_a + np.outer(ma, ma.conj())
-    else:
-        pair_aa_ref = corr.pair_aa
-        pair_adad_ref = corr.pair_adad
-        normal_ad_a_ref = corr.normal_ad_a
-
-    moment_max = max(
-        np.abs(pair_aa_ref - ss.pair_aa).max(),
-        np.abs(pair_adad_ref - ss.pair_adad).max(),
-        np.abs(normal_ad_a_ref - ss.normal_ad_a).max(),
-        np.abs(np.real(np.diag(normal_ad_a_ref)) - ss.occupations).max(),
-    )
-
-    if linear:
-        wick_max = None
-    else:
-        wick_analytic = np.array(
-            [wick_moment(sol.Z, (n + j, n + j, j, j)) for j in range(n)]
-        )
-        wick_max = float(np.abs(wick_analytic - ss.wick4).max())
-
-    max_exc = 2 if n == 1 else 1
-    modes = liouville_spectrum(spectrum.beta, max_exc, tol_marginal=tol_marginal)
-    analytic_vals = np.array([m.lam for m in modes])
-    oracle_vals = oracle_spectrum(lio, analytic_vals.size)
-    # optimal matching avoids ordering artifacts among near-ties
-    cost = np.abs(analytic_vals[:, None] - oracle_vals[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    spectrum_max = float(cost[rows, cols].max())
-
-    t_end = min(10.0, 6.0 / gap)
-    times = np.linspace(0.0, t_end, 21)
-    two_n = 2 * n
-    traj = covariance_trajectory(struct.X, struct.Y, np.zeros((two_n, two_n)), times)
-    otraj = oracle_evolve(lio, vacuum_state(lio), times)
-    if linear:
-        means = mean_trajectory(
-            struct.X, mean_source(model), np.zeros(two_n, dtype=complex), times
-        )
-        cov_ref = traj.C + np.einsum("ti,tj->tij", means, means)
-        mean_max = float(np.abs(means - otraj.means).max())
-    else:
-        cov_ref = traj.C
-        mean_max = None
-    trajectory_max = float(np.abs(cov_ref - otraj.cov).max())
-
-    gates = [
-        ("moments", float(moment_max), tol_moments),
-        ("spectrum", spectrum_max, tol_spectrum),
-        ("trajectory", trajectory_max, tol_trajectory),
-        ("trace_preservation", float(trace_resid), TRACE_PRESERVATION_TOL),
-    ]
-    if wick_max is not None:
-        gates.append(("wick", wick_max, tol_wick))
-    if mean_max is not None:
-        gates.append(("means", mean_max, tol_trajectory))
-    failing = [(name, val / tol) for name, val, tol in gates if val > tol]
-    failing.sort(key=lambda item: -item[1])
-    ok = not failing
-
-    return {
-        "pass": ok,
-        "cutoff": int(cutoff),
-        "moment_max_delta": float(moment_max),
-        "wick_max_delta": wick_max,
-        "spectrum_max_delta": spectrum_max,
-        "trajectory_max_delta": trajectory_max,
-        "mean_max_delta": mean_max,
-        "truncation_top_population": float(ss.top_populations.max()),
-        "trace_preservation_residual": float(trace_resid),
-        "lyapunov_residual": float(sol.residual),
-        "worst": failing[0][0] if failing else None,
-    }
-
-
 def cmd_verify(args) -> int:
     model, model_hash = _load_model(args)
-    gates = _verify_tolerances(
-        args.tol_moments,
-        args.tol_wick,
-        args.tol_spectrum,
-        args.tol_trajectory,
-        args.trunc_tol,
-    )
-    results = run_verification(
+    gates, results = run_verification(
         model,
         cutoff=args.cutoff,
         memcap=memcap_from_env(),
         tol_moments=args.tol_moments,
+        tol_wick=args.tol_wick,
+        tol_spectrum=args.tol_spectrum,
+        tol_trajectory=args.tol_trajectory,
+        trunc_tol=args.trunc_tol,
         tol_marginal=args.tol_marginal,
-        **gates,
     )
-    tolerances = {
-        "tol_input": args.tol,
-        "tol_marginal": args.tol_marginal,
-        "tol_moments": args.tol_moments,
-        **gates,
-    }
+    tolerances = {"tol_input": args.tol, "tol_marginal": args.tol_marginal, **gates}
     text = _report("verify", model_hash, tolerances, results)
     _emit(text, args.output)
     if not results["pass"]:
@@ -616,9 +454,9 @@ def cmd_sweep(args) -> int:
             spectrum.stability.value,
         ]
         if stable:
-            sol = solve(struct.X, struct.Y, spectrum, tol_marginal=args.tol_marginal)
+            sol = solve(struct.X, struct.Y, spectrum)
             corr = physical_correlators(sol.Z, model.n)
-            row.append(_fmt(2.0 * spectrum.beta.real.min()))
+            row.append(_fmt(spectral_gap(spectrum)))
             row.extend(_fmt(x) for x in corr.occupations)
         else:
             row.append("")

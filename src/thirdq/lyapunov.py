@@ -67,28 +67,26 @@ def solve_eigenbasis(
     X: np.ndarray,
     Y: np.ndarray,
     spectrum: RapiditySpectrum,
-    tol_marginal: float = DEFAULT_TOL_MARGINAL,
-    cond_limit: float = COND_WARN,
 ) -> LyapunovSolution:
     """Solve in the eigenbasis of X.
 
     Raises :class:`ResonantSpectrum` when some |beta_j + beta_k| falls below
-    ``tol_marginal`` (no unique solution) and :class:`IllConditioned` when
-    cond(P) exceeds ``cond_limit``; callers should fall back to
-    :func:`solve_schur` in the latter case.
+    the spectrum's ``tol_marginal`` (no unique solution) and
+    :class:`IllConditioned` when cond(P) exceeds ``COND_WARN``; callers
+    should fall back to :func:`solve_schur` in the latter case.
     """
     X = np.asarray(X, dtype=complex)
     Y = np.asarray(Y, dtype=complex)
     beta, P = spectrum.beta, spectrum.P
     denom = beta[:, None] + beta[None, :]
     min_sum = np.abs(denom).min()
-    if min_sum < tol_marginal:
+    if min_sum < spectrum.tol_marginal:
         raise ResonantSpectrum(
             f"rapidity pair sums to {min_sum:.3e}; Lyapunov solution not unique"
         )
-    if spectrum.cond_P > cond_limit:
+    if spectrum.cond_P > COND_WARN:
         raise IllConditioned(
-            f"eigenvector matrix has cond(P) = {spectrum.cond_P:.3e} > {cond_limit:.1e}"
+            f"eigenvector matrix has cond(P) = {spectrum.cond_P:.3e} > {COND_WARN:.1e}"
         )
     Yt = P.T @ Y @ P
     Zt = Yt / denom
@@ -131,7 +129,6 @@ def solve(
     X: np.ndarray,
     Y: np.ndarray,
     spectrum: RapiditySpectrum,
-    tol_marginal: float = DEFAULT_TOL_MARGINAL,
     residual_tol: float = RESIDUAL_TOL,
 ) -> LyapunovSolution:
     """Certified solve: eigenbasis route first, Schur fallback.
@@ -146,12 +143,12 @@ def solve(
     if spectrum.stability is Stability.UNSTABLE:
         raise NotStable("unstable spectrum: no steady state exists")
     try:
-        sol = solve_eigenbasis(X, Y, spectrum, tol_marginal=tol_marginal)
+        sol = solve_eigenbasis(X, Y, spectrum)
     except IllConditioned:
-        sol = solve_schur(X, Y, tol_marginal=tol_marginal)
+        sol = solve_schur(X, Y, spectrum.tol_marginal)
     else:
         if sol.residual > residual_tol:
-            fallback = solve_schur(X, Y, tol_marginal=tol_marginal)
+            fallback = solve_schur(X, Y, spectrum.tol_marginal)
             if fallback.residual < sol.residual:
                 sol = fallback
     if sol.residual > residual_tol:

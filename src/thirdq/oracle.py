@@ -44,6 +44,7 @@ import scipy.sparse.linalg
 from .errors import (
     DegenerateZeroEigenvalue,
     DimensionCap,
+    DimensionMismatch,
     InputError,
     NumericalError,
     TruncationInsufficient,
@@ -62,7 +63,7 @@ def memcap_from_env(default: int = DEFAULT_MEMCAP) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise DimensionCap(f"{MEMCAP_ENV} must be an integer, got {raw!r}") from None
+        raise InputError(f"{MEMCAP_ENV} must be an integer, got {raw!r}") from None
 
 
 def _check_cap(dim: int, memcap: int | None) -> None:
@@ -99,10 +100,12 @@ def _lift(op: sp.spmatrix, j: int, n: int, cutoff: int) -> sp.csr_matrix:
 def build_fock_operators(n: int, cutoff: int, memcap: int | None = None) -> FockOperators:
     """Sparse ladder matrices lifted to the n-mode product space.
 
-    The single-mode matrix has (a)_{m, m+1} = sqrt(m + 1).
+    The single-mode matrix has (a)_{m, m+1} = sqrt(m + 1).  A cutoff below
+    2 raises :class:`InputError`; a space over the memcap raises
+    :class:`DimensionCap`.
     """
     if cutoff < 2:
-        raise DimensionCap(f"cutoff must be >= 2, got {cutoff}")
+        raise InputError(f"cutoff must be >= 2, got {cutoff}")
     _check_cap(cutoff**n, memcap)
     a1 = sp.diags(np.sqrt(np.arange(1, cutoff, dtype=float)), 1)
     a = tuple(_lift(a1, j, n, cutoff) for j in range(n))
@@ -354,15 +357,16 @@ def oracle_evolve(lio: Liouvillean, rho0: np.ndarray, times) -> OracleTrajectory
 
     One call of ``scipy.sparse.linalg.expm_multiply`` evolves the real
     coordinates U† vec(rho0) under ``M`` across the whole grid, and one
-    product with ``R`` reads the moments at every time.  A grid of fewer
-    than two times, or whose steps differ, raises :class:`InputError`.
+    product with ``R`` reads the moments at every time.  A ``rho0`` of the
+    wrong shape raises :class:`DimensionMismatch`; a grid of fewer than two
+    times, or whose steps differ, raises :class:`InputError`.
     Returns normal-ordered covariance matrices, first moments and the trace
     at every time.
     """
     times = np.asarray(times, dtype=float)
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (lio.dim, lio.dim):
-        raise DimensionCap(f"rho0 must be {lio.dim}x{lio.dim}, got {rho0.shape}")
+        raise DimensionMismatch(f"rho0 must be {lio.dim}x{lio.dim}, got {rho0.shape}")
     if times.ndim != 1 or times.size < 2:
         raise InputError("oracle_evolve needs a grid of at least two times")
     steps = np.diff(times)
@@ -379,34 +383,3 @@ def oracle_evolve(lio: Liouvillean, rho0: np.ndarray, times) -> OracleTrajectory
     means = np.concatenate([mean_a, mean_ad], axis=1)
     return OracleTrajectory(times=times, cov=cov, means=means, trace=trace)
 
-
-def default_cutoff(
-    occupations, pairs, mean_abs2, tol_moments: float = 1e-6
-) -> int:
-    """Fock cutoff from the analytically predicted moments of each mode.
-
-    ``occupations`` are the centred <a†_j a_j>, ``pairs`` the centred
-    <a_j a_j> and ``mean_abs2`` the squared displacements |<a_j>|^2.  The
-    number distribution of a zero-mean Gaussian mode decays like q^k with
-    q = nbar/(1 + nbar), nbar = <a†a> + |<aa>|; the displacement is counted
-    into nbar, which gives the tail of a thermal state of the same mean
-    (heavier than the displaced one's far tail).  Levels at and above d
-    then carry about q^d (d + nbar) of the mean occupation, and each mode
-    gets the smallest d that puts this below a tenth of ``tol_moments``.
-    The largest mode's d is returned, never below 10.
-    """
-    nbar = (
-        np.maximum(np.asarray(occupations, dtype=float), 0.0)
-        + np.abs(np.asarray(pairs))
-        + np.asarray(mean_abs2, dtype=float)
-    )
-    target = 0.1 * tol_moments
-    cutoff = 10
-    for nb in nbar[nbar > 0]:
-        rate = np.log1p(1.0 / nb)  # -ln q
-        # least d >= cutoff with d * rate >= ln((d + nb) / target)
-        d = cutoff
-        while (nxt := int(np.ceil(np.log((d + nb) / target) / rate))) > d:
-            d = nxt
-        cutoff = d
-    return cutoff

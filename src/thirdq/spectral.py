@@ -43,12 +43,18 @@ class Stability(enum.Enum):
 
 @dataclass(frozen=True)
 class RapiditySpectrum:
-    """Eigendecomposition X = P diag(beta) P^-1 with deterministic ordering."""
+    """Eigendecomposition X = P diag(beta) P^-1 with deterministic ordering.
+
+    ``stability`` is the verdict of :func:`classify_stability` with the
+    Marginal half-width ``tol_marginal``; every later stage reads both from
+    here instead of classifying again.
+    """
 
     beta: np.ndarray
     P: np.ndarray
     cond_P: float
     stability: Stability
+    tol_marginal: float
 
 
 @dataclass(frozen=True)
@@ -95,15 +101,15 @@ def rapidities(X: np.ndarray, tol_marginal: float = DEFAULT_TOL_MARGINAL) -> Rap
         P=P,
         cond_P=cond_P,
         stability=classify_stability(beta, tol_marginal),
+        tol_marginal=tol_marginal,
     )
 
 
-def spectral_gap(beta, tol_marginal: float = DEFAULT_TOL_MARGINAL) -> float:
+def spectral_gap(spectrum: RapiditySpectrum) -> float:
     """Slowest relaxation rate, 2 min Re beta.  Requires a Stable spectrum."""
-    beta = np.asarray(beta, dtype=complex)
-    if classify_stability(beta, tol_marginal) is not Stability.STABLE:
+    if spectrum.stability is not Stability.STABLE:
         raise NotStable("spectral gap is only defined for a Stable spectrum")
-    return float(2.0 * beta.real.min())
+    return float(2.0 * spectrum.beta.real.min())
 
 
 def _compositions(total: int, slots: int):
@@ -116,9 +122,8 @@ def _compositions(total: int, slots: int):
 
 
 def liouville_spectrum(
-    beta,
+    spectrum: RapiditySpectrum,
     max_total_excitation: int,
-    tol_marginal: float = DEFAULT_TOL_MARGINAL,
     count_limit: int = COUNT_LIMIT,
 ) -> list[DecayMode]:
     """Enumerate decay modes lambda_m = -2 m . beta with sum(m) <= cutoff.
@@ -130,9 +135,9 @@ def liouville_spectrum(
     """
     if max_total_excitation < 0:
         raise InputError("max_total_excitation must be >= 0")
-    beta = np.asarray(beta, dtype=complex)
-    if classify_stability(beta, tol_marginal) is not Stability.STABLE:
+    if spectrum.stability is not Stability.STABLE:
         raise NotStable("decay-mode spectrum requires a Stable rapidity spectrum")
+    beta = spectrum.beta
     slots = beta.size
     count = math.comb(slots + max_total_excitation, slots)
     if count > count_limit:

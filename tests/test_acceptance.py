@@ -30,7 +30,8 @@ from thirdq import (
     spectral_gap,
     vacuum_state,
 )
-from thirdq.cli import main, run_verification
+from thirdq.cli import main
+from thirdq.verify import run_verification
 from thirdq.errors import IllConditioned
 
 from conftest import (
@@ -69,7 +70,7 @@ def test_criterion_1_closed_forms_exact_pipeline():
     model = sec4_model()
     struct = build_structure(model)
     spectrum = rapidities(struct.X)
-    gap = spectral_gap(spectrum.beta)
+    gap = spectral_gap(spectrum)
     corr = physical_correlators(solve(struct.X, struct.Y, spectrum).Z, 1)
     elapsed = time.perf_counter() - t0
 
@@ -94,7 +95,7 @@ def test_criterion_1_closed_forms_exact_pipeline():
 
 def test_criterion_2_oracle_equivalence_single_mode():
     t0 = time.perf_counter()
-    results = run_verification(sec4_model(), cutoff=30, tol_moments=1e-6)
+    _, results = run_verification(sec4_model(), cutoff=30, tol_moments=1e-6)
     elapsed = time.perf_counter() - t0
     ok = (
         results["pass"]
@@ -125,7 +126,7 @@ def test_criterion_3_oracle_spectrum_overlap(sec4_liouvillean):
 
 def test_criterion_4_oracle_equivalence_two_modes():
     t0 = time.perf_counter()
-    results = run_verification(two_mode_model(), cutoff=6, tol_moments=1e-3)
+    _, results = run_verification(two_mode_model(), cutoff=6, tol_moments=1e-3)
     elapsed = time.perf_counter() - t0
     ok = results["pass"] and results["moment_max_delta"] < 1e-3 and elapsed < 60.0
     _report(
@@ -226,7 +227,7 @@ def test_criterion_6_dynamics_decay_slope(sec4_liouvillean):
     model = sec4_model()
     struct = build_structure(model)
     spectrum = rapidities(struct.X)
-    gap = spectral_gap(spectrum.beta)
+    gap = spectral_gap(spectrum)
     assert abs(gap - 0.5) <= 1e-12, f"spectral gap is {gap!r}, not 0.5"
     times = np.linspace(2.0, 20.0, 37)
 
@@ -244,7 +245,7 @@ def test_criterion_6_dynamics_decay_slope(sec4_liouvillean):
     cov_slope = fit_decay_slope(times, [np.linalg.norm(C - Z) for C in traj.C])
     two_rate = min(
         -mode.lam.real
-        for mode in liouville_spectrum(spectrum.beta, 2)
+        for mode in liouville_spectrum(spectrum, 2)
         if sum(mode.m) == 2
     )
 

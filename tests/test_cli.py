@@ -231,6 +231,24 @@ def test_verify_memcap_env(tmp_path, capsys, monkeypatch):
     assert code == 5
 
 
+def test_verify_memcap_env_not_integer_is_bad_input(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("THIRDQ_MEMCAP", "lots")
+    path = write_model(tmp_path, sec4_document())
+    code, out, err = run_cli(capsys, "verify", "--model", path, "--cutoff", "30")
+    assert code == 2
+    assert out == ""
+    assert "THIRDQ_MEMCAP must be an integer" in err
+
+
+@pytest.mark.parametrize("cutoff", ["1", "0", "-3"])
+def test_verify_cutoff_below_two_is_bad_input(tmp_path, capsys, cutoff):
+    path = write_model(tmp_path, sec4_document())
+    code, out, err = run_cli(capsys, "verify", "--model", path, "--cutoff", cutoff)
+    assert code == 2
+    assert out == ""
+    assert f"cutoff must be >= 2, got {cutoff}" in err
+
+
 def test_sweep_stability_boundary(tmp_path, capsys):
     path = write_model(tmp_path, sweep_family_document())
     code, out, _ = run_cli(

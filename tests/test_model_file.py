@@ -22,14 +22,16 @@ from hypothesis import strategies as st
 
 from thirdq import InputError, spectral
 from thirdq import cli
-from thirdq.cli import document_to_model, load_model_document, main, run_verification
+from thirdq.cli import document_to_model, load_model_document, main
 from thirdq.model import validate_model
+from thirdq.verify import run_verification
 
 from conftest import (
     SEC4_CHANNELS,
     UNPARSABLE_JSON,
     load_schema,
     sec4_document,
+    sec4_model,
     two_mode_document,
     write_model,
 )
@@ -226,10 +228,10 @@ def test_model_hash_is_of_the_bytes_read_once(tmp_path, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["model_hash"] == expected
 
 
-def test_verify_diagonalizes_once_with_linear_terms(monkeypatch):
-    model = validate_model(1, [[1.0]], [[0.0]], SEC4_CHANNELS, forces=[0.2 + 0.1j])
+def _count_calls(monkeypatch, name):
+    """Route every thirdq binding of ``spectral.<name>`` through a counter."""
     calls = []
-    real = spectral.rapidities
+    real = getattr(spectral, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
@@ -237,12 +239,33 @@ def test_verify_diagonalizes_once_with_linear_terms(monkeypatch):
 
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").startswith("thirdq") and (
-            getattr(module, "rapidities", None) is real
+            getattr(module, name, None) is real
         ):
-            monkeypatch.setattr(module, "rapidities", counting)
-    results = run_verification(model)
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_verify_diagonalizes_once_with_linear_terms(monkeypatch):
+    model = validate_model(1, [[1.0]], [[0.0]], SEC4_CHANNELS, forces=[0.2 + 0.1j])
+    calls = _count_calls(monkeypatch, "rapidities")
+    _, results = run_verification(model)
     assert len(calls) == 1
     assert np.isfinite(results["mean_max_delta"])
+
+
+def test_verify_classifies_stability_once(monkeypatch):
+    calls = _count_calls(monkeypatch, "classify_stability")
+    _, results = run_verification(sec4_model(), cutoff=30)
+    assert results["pass"]
+    assert len(calls) == 1
+
+
+def test_spectrum_classifies_stability_once(tmp_path, capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, "classify_stability")
+    path = write_model(tmp_path, sec4_document())
+    assert main(["spectrum", "--model", path, "-M", "2"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 6
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name", sorted(UNPARSABLE_JSON))

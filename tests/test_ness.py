@@ -1,4 +1,5 @@
 import itertools
+import json
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import scipy.linalg
 
 from thirdq import (
     AsymmetricZ,
+    DefectiveX,
     IndexOutOfRange,
     InputError,
     NonSymmetricInitial,
@@ -25,6 +27,7 @@ from thirdq import (
     validate_model,
     wick_moment,
 )
+from thirdq.cli import main, model_to_document
 
 from conftest import (
     closed_model,
@@ -32,6 +35,7 @@ from conftest import (
     random_stable_model,
     sec4_model,
     unstable_sec4_model,
+    write_model,
 )
 
 
@@ -114,7 +118,7 @@ def test_distance_to_fixed_point_decay_rate():
     traj = covariance_trajectory(struct.X, struct.Y, np.zeros((2, 2)), times)
     dist = np.array([np.linalg.norm(C - sol.Z) for C in traj.C])
     slope = fit_decay_slope(times, dist)
-    gap = spectral_gap(sp.beta)
+    gap = spectral_gap(sp)
     assert slope == pytest.approx(2.0 * gap, rel=0.05)
     # exponential envelope bound at the gap rate holds a fortiori
     assert np.all(dist <= dist[0] * np.exp(-gap * (times - times[0])) + 1e-12)
@@ -171,7 +175,7 @@ def test_steady_mean_solves_linear_system(rng):
     g = rng.normal(size=2 * model.n) + 1j * rng.normal(size=2 * model.n)
     mstar = steady_mean(struct.X, g, sp)
     assert np.allclose(2.0 * struct.X.T @ mstar, g, atol=1e-10)
-    times = np.linspace(0.0, 30.0 / spectral_gap(sp.beta), 8)
+    times = np.linspace(0.0, 30.0 / spectral_gap(sp), 8)
     m = mean_trajectory(struct.X, g, np.zeros(2 * model.n, dtype=complex), times)
     assert np.allclose(m[-1], mstar, atol=1e-8)
 
@@ -289,3 +293,61 @@ def test_overflowing_moments_are_refused():
             covariance_trajectory(struct.X, struct.Y, np.zeros((2, 2)), times)
         with pytest.raises(NumericalError):
             mean_trajectory(struct.X, None, np.ones(2, dtype=complex), times)
+
+
+def test_dynamics_at_exceptional_point_of_order_five(tmp_path, capsys, rng):
+    # H = 2g S_x of spin 2 and loss 1 - 2g m_j on mode m_j = 2..-2: the a-block
+    # of X is (1 + 2g (i S_x - S_z)) / 2 up to sign, a single Jordan block
+    # at beta = 1/2, so eig cannot diagonalize X but the propagator is exact
+    n, g = 5, 0.2
+    m = np.arange(2, -3, -1)
+    off = np.sqrt(6 - m[1:] * (m[1:] + 1)) / 2  # <m + 1|S_x|m>
+    S_x = np.diag(off, 1) + np.diag(off, -1)
+    loss = np.sqrt(1 - 2 * g * m)
+    channels = [(loss[j] * np.eye(n)[j], np.zeros(n)) for j in range(n)]
+    forces = [0.3, 0.2j, -0.1, 0.1, 0.05j]
+    model = validate_model(n, 2 * g * S_x, None, channels, forces=forces)
+    struct = build_structure(model)
+    with pytest.raises(DefectiveX):
+        rapidities(struct.X)
+
+    C0 = _random_symmetric(rng, 2 * n)
+    m0 = rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)
+
+    def pairs(v):
+        return [[float(z.real), float(z.imag)] for z in v]
+
+    initial = tmp_path / "initial.json"
+    initial.write_text(json.dumps({"C0": [pairs(row) for row in C0], "m0": pairs(m0)}))
+    path = write_model(tmp_path, model_to_document(model))
+    argv = ["dynamics", "--model", path, "--t1", "10", "--steps", "21"]
+    assert main(argv + ["--initial", str(initial)]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    header = lines[0].split(",")
+    table = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+
+    def column(name):
+        return table[:, header.index(name)]
+
+    times = column("t")
+    C_ref, m_ref = _closed_form(struct.X, struct.Y, mean_source(model), C0, m0, times)
+    occ = np.stack([column(f"occ_{j + 1}") for j in range(n)], axis=1)
+    aa = np.stack(
+        [
+            column(f"re_aa_{j + 1}_{k + 1}") + 1j * column(f"im_aa_{j + 1}_{k + 1}")
+            for j in range(n)
+            for k in range(j, n)
+        ],
+        axis=1,
+    )
+    means = np.stack(
+        [
+            column(f"re_mean_a_{j + 1}") + 1j * column(f"im_mean_a_{j + 1}")
+            for j in range(n)
+        ],
+        axis=1,
+    )
+    upper = np.triu_indices(n)
+    assert _rel(occ, C_ref[:, range(n), range(n, 2 * n)].real) <= 1e-12
+    assert _rel(aa, C_ref[:, upper[0], upper[1]]) <= 1e-12
+    assert _rel(means, m_ref[:, :n]) <= 1e-12

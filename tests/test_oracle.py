@@ -9,6 +9,7 @@ import scipy.sparse
 from thirdq import (
     DegenerateZeroEigenvalue,
     DimensionCap,
+    DimensionMismatch,
     InputError,
     LindbladChannel,
     Liouvillean,
@@ -143,7 +144,7 @@ def test_truncation_gate_fires():
 def test_dimension_caps():
     with pytest.raises(DimensionCap):
         build_fock_operators(2, 50)
-    with pytest.raises(DimensionCap):
+    with pytest.raises(InputError):
         build_fock_operators(1, 1)
     # explicit memcap overrides the default
     ops = build_fock_operators(1, 50, memcap=10_000_000)
@@ -292,6 +293,12 @@ def test_evolution_refuses_non_uniform_grid():
     lio = build_liouvillean_matrix(sec4_model(), 6)
     with pytest.raises(InputError):
         oracle_evolve(lio, vacuum_state(lio), [0.0, 0.1, 0.3])
+
+
+def test_evolution_refuses_misshapen_initial_state():
+    lio = build_liouvillean_matrix(sec4_model(), 6)
+    with pytest.raises(DimensionMismatch):
+        oracle_evolve(lio, np.eye(5) / 5, [0.0, 0.1])
 
 
 def test_generator_breaking_hermiticity_is_refused():
