@@ -2,16 +2,25 @@
 
 Model files are JSON documents with complex scalars encoded as two-element
 ``[re, im]`` arrays (see ``schemas/model.schema.json``).  Reports are JSON
-with a fixed key order; bulk numeric output (spectrum, dynamics, sweep) is
-CSV with a header row, comma separator and LF line endings.  Identical
-invocations produce byte-identical output.
+with a fixed key order, laid out as the ``json`` module lays them out at an
+indent of 2; bulk numeric output (spectrum, dynamics, sweep) is CSV with a
+header row, comma separator and LF line endings.  Identical invocations
+produce byte-identical output:
+
+* floats are written in the shortest round-trip decimal form (``repr``);
+* negative zero is written ``0.0`` in ``[re, im]`` pairs and CSV cells, and
+  keeps its sign in plain floats such as occupations;
+* non-finite values are ``NaN``, ``Infinity`` and ``-Infinity`` in JSON and
+  ``nan``, ``inf`` and ``-inf`` in CSV.
+
+``tests/test_codec.py`` holds the writers to these rules.
 
 Exit codes:
 
     0  success (an Unstable verdict from analyze/sweep/dynamics is a result)
     2  bad input: unreadable/schema-invalid model or initial-state file, bad
        sweep path (or a path into n), bad time grid, meaningless tolerance,
-       verify cutoff below 2, non-integer THIRDQ_MEMCAP
+       verify cutoff below 2, THIRDQ_MEMCAP not an integer >= 1
     3  numerical failure (e.g. X not diagonalizable, overflowing moments)
     4  stable spectrum required (ness/spectrum/verify on Marginal or Unstable)
     5  enumeration or oracle dimension caps, insufficient truncation
@@ -22,9 +31,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -60,18 +71,11 @@ from .verify import run_verification
 # complex / float codecs
 
 
-def _pair(z) -> list[float]:
-    z = complex(z)
+def _pairs(z) -> np.ndarray:
+    """``[re, im]`` along a new last axis of a complex scalar or array."""
+    z = np.asarray(z, dtype=complex)
     # + 0.0 folds negative zero into plain zero
-    return [float(z.real) + 0.0, float(z.imag) + 0.0]
-
-
-def _pair_vector(v) -> list[list[float]]:
-    return [_pair(z) for z in np.asarray(v)]
-
-
-def _pair_matrix(A) -> list[list[list[float]]]:
-    return [_pair_vector(row) for row in np.asarray(A)]
+    return np.stack([z.real, z.imag], axis=-1) + 0.0
 
 
 def _from_pair(obj, where: str, index: int | None = None) -> complex:
@@ -91,15 +95,45 @@ def _from_pair(obj, where: str, index: int | None = None) -> complex:
     raise SchemaError(f"{at}: {problem}, got {obj!r}")
 
 
+def _bulk_pairs(obj: list, depth: int) -> np.ndarray | None:
+    """Decode ``depth`` nested levels of lists of [re, im] pairs in one pass.
+
+    Returns None on anything but a non-empty, rectangular nest whose leaves
+    are all ints or floats within the float range; the per-pair walk then
+    names the fault.  The leaf types are checked first because numpy would
+    convert ``True`` and ``"1"``.
+    """
+    leaves = obj
+    for _ in range(depth):
+        leaves = itertools.chain.from_iterable(leaves)
+    try:
+        if not set(map(type, leaves)) <= {int, float}:
+            return None
+        arr = np.array(obj, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # a scalar row, ragged, 10**400
+        return None
+    if arr.ndim != depth + 1 or arr.shape[-1] != 2:
+        return None
+    # a view, not re + 1j*im: that product turns an infinite imaginary part
+    # into a NaN real part
+    return arr.view(complex)[..., 0]
+
+
 def _from_pair_vector(obj, where: str) -> np.ndarray:
     if not isinstance(obj, list):
         raise SchemaError(f"{where}: expected an array of [re, im] pairs")
+    v = _bulk_pairs(obj, 1)
+    if v is not None:
+        return v
     return np.array([_from_pair(x, where, j) for j, x in enumerate(obj)], dtype=complex)
 
 
 def _from_pair_matrix(obj, where: str) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise SchemaError(f"{where}: expected a nested array of [re, im] pairs")
+    A = _bulk_pairs(obj, 2)
+    if A is not None:
+        return A
     rows = [_from_pair_vector(row, f"{where}[{i}]") for i, row in enumerate(obj)]
     width = {row.size for row in rows}
     if len(width) != 1:
@@ -110,6 +144,53 @@ def _from_pair_matrix(obj, where: str) -> np.ndarray:
 def _fmt(x) -> str:
     # shortest round-trip decimal form; deterministic for a given value
     return repr(float(x) + 0.0)
+
+
+def _csv_lines(table: np.ndarray) -> Iterator[str]:
+    """Each row of a float table as one CSV line, each value as :func:`_fmt` writes it.
+
+    A line is joined as its row is formatted, so one row's strings are alive
+    at a time.
+    """
+    for row in table + 0.0:
+        yield ",".join(map(repr, row.tolist()))
+
+
+def _json(value, level: int = 0) -> str:
+    """``value`` as ``json`` writes it at an indent of 2, each array in one pass.
+
+    Keys are strings.  A float array is written as its nested list, a complex
+    array as nested :func:`_pairs`.
+    """
+    if isinstance(value, np.ndarray):
+        return _json_array(_pairs(value) if np.iscomplexobj(value) else value, level)
+    if isinstance(value, dict):
+        items = [f"{json.dumps(k)}: {_json(v, level + 1)}" for k, v in value.items()]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        items = [_json(v, level + 1) for v in value]
+        brackets = "[]"
+    else:
+        return json.dumps(value)
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (level + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * level + brackets[1]
+
+
+def _json_array(arr: np.ndarray, level: int) -> str:
+    if arr.size == 0:
+        return _json(arr.tolist(), level)
+    # json.dumps spells NaN, Infinity and -Infinity; repr is the same elsewhere
+    spell = repr if np.isfinite(arr).all() else json.dumps
+    texts = map(spell, arr.ravel().tolist())
+    # group the innermost axis first, each at the indent of its depth
+    for axis in range(arr.ndim - 1, -1, -1):
+        size = arr.shape[axis]
+        pad = "\n" + "  " * (level + axis + 1)
+        group = "[" + pad + ("," + pad).join(["%s"] * size) + "\n" + "  " * (level + axis) + "]"
+        texts = map(group.__mod__, zip(*[iter(texts)] * size))
+    return next(texts)
 
 
 # ---------------------------------------------------------------------------
@@ -192,15 +273,15 @@ def document_to_model(doc: dict, tol_input: float = DEFAULT_TOL_INPUT) -> Bosoni
 
 
 def model_to_document(model: BosonicModel) -> dict:
-    doc = {"n": model.n, "H": _pair_matrix(model.H), "K": _pair_matrix(model.K)}
+    doc = {"n": model.n, "H": _pairs(model.H).tolist(), "K": _pairs(model.K).tolist()}
     doc["channels"] = []
     for ch in model.channels:
-        entry = {"l": _pair_vector(ch.l), "k": _pair_vector(ch.k)}
+        entry = {"l": _pairs(ch.l).tolist(), "k": _pairs(ch.k).tolist()}
         if ch.offset != 0:
-            entry["offset"] = _pair(ch.offset)
+            entry["offset"] = _pairs(ch.offset).tolist()
         doc["channels"].append(entry)
     if model.forces is not None:
-        doc["forces"] = _pair_vector(model.forces)
+        doc["forces"] = _pairs(model.forces).tolist()
     return doc
 
 
@@ -229,13 +310,11 @@ def _report(command: str, model_hash: str, tolerances: dict, results: dict) -> s
         "tolerances": tolerances,
         "results": results,
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return _json(doc) + "\n"
 
 
-def _csv(header: list[str], rows: list[list[str]]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv(header: list[str], lines: Iterable[str]) -> str:
+    return "\n".join([",".join(header), *lines]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +329,11 @@ def cmd_analyze(args) -> int:
     trace_resid = abs(np.trace(struct.X) - struct.S0) / max(1.0, abs(struct.S0))
     results = {
         "n": model.n,
-        "rapidities": _pair_vector(spectrum.beta),
+        "rapidities": spectrum.beta,
         "stability": spectrum.stability.value,
         "spectral_gap": spectral_gap(spectrum) if stable else None,
         "cond_P": float(spectrum.cond_P),
-        "S0": _pair(struct.S0),
+        "S0": _pairs(struct.S0),
         "trace_identity_residual": float(trace_resid),
     }
     text = _report(
@@ -274,11 +353,11 @@ def cmd_ness(args) -> int:
     sol = solve(struct.X, struct.Y, spectrum)
     corr = physical_correlators(sol.Z, model.n)
     results = {
-        "Z": _pair_matrix(sol.Z),
-        "pair_aa": _pair_matrix(corr.pair_aa),
-        "pair_adad": _pair_matrix(corr.pair_adad),
-        "normal_ad_a": _pair_matrix(corr.normal_ad_a),
-        "occupations": [float(x) for x in corr.occupations],
+        "Z": sol.Z,
+        "pair_aa": corr.pair_aa,
+        "pair_adad": corr.pair_adad,
+        "normal_ad_a": corr.normal_ad_a,
+        "occupations": corr.occupations,
         "residual": float(sol.residual),
         "method": sol.method.value,
     }
@@ -303,11 +382,12 @@ def cmd_spectrum(args) -> int:
     modes = liouville_spectrum(spectrum, args.max_excitation)
     two_n = 2 * model.n
     header = [f"m_{i + 1}" for i in range(two_n)] + ["re_lambda", "im_lambda"]
-    rows = [
-        [str(mi) for mi in mode.m] + [_fmt(mode.lam.real), _fmt(mode.lam.imag)]
-        for mode in modes
-    ]
-    _emit(_csv(header, rows), args.output)
+    lam = np.array([mode.lam for mode in modes], dtype=complex)
+    lines = (
+        ",".join(map(str, mode.m)) + "," + text
+        for mode, text in zip(modes, _csv_lines(_pairs(lam)))
+    )
+    _emit(_csv(header, lines), args.output)
     return 0
 
 
@@ -355,25 +435,21 @@ def cmd_dynamics(args) -> int:
         else None
     )
 
+    rows, cols = np.triu_indices(n)  # the pairs j <= k, row by row
     header = ["t"] + [f"occ_{j + 1}" for j in range(n)]
-    pairs = [(j, k) for j in range(n) for k in range(j, n)]
-    for j, k in pairs:
+    for j, k in zip(rows.tolist(), cols.tolist()):
         header += [f"re_aa_{j + 1}_{k + 1}", f"im_aa_{j + 1}_{k + 1}"]
     if means is not None:
         for j in range(n):
             header += [f"re_mean_a_{j + 1}", f"im_mean_a_{j + 1}"]
-    rows = []
-    for i, t in enumerate(times):
-        C = traj.C[i]
-        row = [_fmt(t)]
-        row += [_fmt(C[j, n + j].real) for j in range(n)]
-        for j, k in pairs:
-            row += [_fmt(C[j, k].real), _fmt(C[j, k].imag)]
-        if means is not None:
-            for j in range(n):
-                row += [_fmt(means[i, j].real), _fmt(means[i, j].imag)]
-        rows.append(row)
-    _emit(_csv(header, rows), args.output)
+    columns = [
+        times[:, None],
+        traj.C[:, range(n), range(n, two_n)].real,
+        _pairs(traj.C[:, rows, cols]).reshape(len(times), -1),
+    ]
+    if means is not None:
+        columns.append(_pairs(means[:, :n]).reshape(len(times), -1))
+    _emit(_csv(header, _csv_lines(np.hstack(columns))), args.output)
     return 0
 
 
@@ -461,7 +537,7 @@ def cmd_sweep(args) -> int:
         else:
             row.append("")
             row.extend("" for _ in range(model.n))
-        rows.append(row)
+        rows.append(",".join(row))
 
     header = ["value", "min_re_beta", "stability", "gap"] + [
         f"occ_{j + 1}" for j in range(n)

@@ -61,9 +61,12 @@ def memcap_from_env(default: int = DEFAULT_MEMCAP) -> int:
     if raw is None:
         return default
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise InputError(f"{MEMCAP_ENV} must be an integer, got {raw!r}") from None
+    if cap < 1:
+        raise InputError(f"{MEMCAP_ENV} must be at least 1, got {raw!r}")
+    return cap
 
 
 def _check_cap(dim: int, memcap: int | None) -> None:

@@ -240,6 +240,16 @@ def test_verify_memcap_env_not_integer_is_bad_input(tmp_path, capsys, monkeypatc
     assert "THIRDQ_MEMCAP must be an integer" in err
 
 
+@pytest.mark.parametrize("memcap", ["0", "-5"])
+def test_verify_memcap_env_below_one_is_bad_input(tmp_path, capsys, monkeypatch, memcap):
+    monkeypatch.setenv("THIRDQ_MEMCAP", memcap)
+    path = write_model(tmp_path, sec4_document())
+    code, out, err = run_cli(capsys, "verify", "--model", path, "--cutoff", "30")
+    assert code == 2
+    assert out == ""
+    assert f"THIRDQ_MEMCAP must be at least 1, got '{memcap}'" in err
+
+
 @pytest.mark.parametrize("cutoff", ["1", "0", "-3"])
 def test_verify_cutoff_below_two_is_bad_input(tmp_path, capsys, cutoff):
     path = write_model(tmp_path, sec4_document())

@@ -1,0 +1,151 @@
+"""The file codecs against their per-value references.
+
+Reports must read exactly as ``json.dumps(doc, indent=2)`` of the document
+with every array expanded into nested lists (complex values as ``[re, im]``
+pairs with negative zero folded), every CSV cell exactly as ``_fmt`` spells
+it, and every decoded pair exactly as ``complex(re, im)``.  The codecs work
+on whole arrays; these tests hold them to the per-value forms.
+"""
+
+import json
+import math
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from thirdq import cli
+from thirdq.cli import document_to_model, main
+from thirdq.ness import covariance_trajectory, mean_source, mean_trajectory
+from thirdq.spectral import liouville_spectrum, rapidities
+from thirdq.structure import build_structure
+
+from conftest import sec4_document, two_mode_document, write_model
+
+# every float the spellings treat apart: signed zeros, subnormals, NaN, infinities
+FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.5e-310, 1e-7, 1e16, -math.inf, math.inf, math.nan]
+)
+SHAPES = st.integers(1, 12).map(lambda n: (n, n)) | hnp.array_shapes(
+    min_dims=1, max_dims=3, min_side=0, max_side=5
+)
+
+
+@st.composite
+def arrays(draw):
+    """A float or complex array, maybe empty, often as a transposed or sliced view."""
+    shape = draw(SHAPES)
+    re = draw(hnp.arrays(float, shape, elements=FLOATS))
+    if draw(st.booleans()):
+        arr = re
+    else:
+        # assigned, not re + 1j*im: that arithmetic turns inf into NaN
+        arr = np.empty(shape, dtype=complex)
+        arr.real = re
+        arr.imag = draw(hnp.arrays(float, shape, elements=FLOATS))
+    view = draw(st.sampled_from(["whole", "transpose", "reversed", "strided"]))
+    if view == "transpose":
+        arr = arr.T
+    elif view == "reversed":
+        arr = arr[::-1]
+    elif view == "strided":
+        arr = arr[..., ::2]
+    return arr
+
+
+SCALARS = st.none() | st.booleans() | st.integers() | FLOATS | st.text(max_size=3)
+DOCUMENTS = st.recursive(
+    SCALARS | arrays(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _expanded(value):
+    """The document with every array written out value by value."""
+    if isinstance(value, dict):
+        return {k: _expanded(v) for k, v in value.items()}
+    if isinstance(value, (list, np.ndarray)):
+        return [_expanded(v) for v in value]
+    if isinstance(value, np.complexfloating):
+        return [float(value.real) + 0.0, float(value.imag) + 0.0]
+    if isinstance(value, np.floating):
+        return float(value)
+    return value
+
+
+@settings(deadline=None)
+@given(DOCUMENTS)
+@example({"rows": np.zeros((2, 0)), "none": np.zeros((0, 3), dtype=complex)})
+def test_report_writer_spells_as_json(doc):
+    assert cli._json(doc) == json.dumps(_expanded(doc), indent=2)
+
+
+@settings(deadline=None)
+@given(arrays().filter(lambda a: a.ndim == 2 and not np.iscomplexobj(a)))
+def test_csv_lines_spell_each_value_as_fmt(table):
+    expected = [",".join(cli._fmt(x) for x in row) for row in table]
+    assert list(cli._csv_lines(table)) == expected
+
+
+@settings(deadline=None)
+@given(
+    hnp.arrays(
+        float,
+        hnp.array_shapes(min_dims=2, max_dims=2, max_side=6).map(lambda s: s + (2,)),
+        elements=FLOATS,
+    )
+)
+def test_pair_decoding_matches_the_per_pair_walk(pairs):
+    nest = pairs.tolist()
+    expected = np.array([[complex(re, im) for re, im in row] for row in nest])
+    # bytes, so that signed zeros, infinities and NaN compare exactly
+    assert cli._from_pair_matrix(nest, "H").tobytes() == expected.tobytes()
+    assert cli._from_pair_vector(nest[0], "l").tobytes() == expected[0].tobytes()
+
+
+def _dynamics_reference(model, times):
+    """The table ``dynamics`` writes from the vacuum, cell by cell."""
+    struct = build_structure(model)
+    n, two_n = model.n, 2 * model.n
+    C = covariance_trajectory(
+        struct.X, struct.Y, np.zeros((two_n, two_n), dtype=complex), times
+    ).C
+    means = mean_trajectory(struct.X, mean_source(model), np.zeros(two_n), times)
+    lines = []
+    for i, t in enumerate(times):
+        row = [cli._fmt(t)] + [cli._fmt(C[i, j, n + j].real) for j in range(n)]
+        for j in range(n):
+            for k in range(j, n):
+                row += [cli._fmt(C[i, j, k].real), cli._fmt(C[i, j, k].imag)]
+        for j in range(n):
+            row += [cli._fmt(means[i, j].real), cli._fmt(means[i, j].imag)]
+        lines.append(",".join(row))
+    return lines
+
+
+def test_dynamics_lines_match_the_per_value_table(tmp_path, capsys):
+    doc = two_mode_document()
+    doc["forces"] = [[0.2, -0.1], [0.0, 0.3]]
+    path = write_model(tmp_path, doc)
+    assert main(["dynamics", "--model", path, "--t1", "2", "--steps", "9"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines[0].split(",")) == len(lines[1].split(",")) == 1 + 2 + 6 + 4
+    model = document_to_model(doc)
+    assert lines[1:] == _dynamics_reference(model, np.linspace(0.0, 2.0, 9))
+
+
+def test_spectrum_lines_match_the_per_value_table(tmp_path, capsys):
+    for doc in (sec4_document(), two_mode_document()):
+        assert main(["spectrum", "--model", write_model(tmp_path, doc), "-M", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        struct = build_structure(document_to_model(doc))
+        expected = [
+            ",".join(
+                [str(mi) for mi in mode.m] + [cli._fmt(mode.lam.real), cli._fmt(mode.lam.imag)]
+            )
+            for mode in liouville_spectrum(rapidities(struct.X), 3)
+        ]
+        assert lines[1:] == expected

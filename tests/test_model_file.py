@@ -56,6 +56,31 @@ def _channel(**entries):
     return edit
 
 
+def _wide(*path, value):
+    """A 30-mode document with ``value`` put at ``path``, deep inside a large array.
+
+    A fault there sits past the first row, so the bulk decoding of a
+    well-formed array must refuse it and the per-pair walk must name it.
+    """
+    n = 30
+    doc = {
+        "n": n,
+        "H": [[[float(i == j), 0.0] for j in range(n)] for i in range(n)],
+        "channels": [
+            {"l": [[0.5, 0.0] for _ in range(n)], "k": [[0.1, 0.0] for _ in range(n)]}
+            for _ in range(3)
+        ],
+    }
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is None:
+        node.pop(path[-1])
+    else:
+        node[path[-1]] = value
+    return doc
+
+
 # one document per schema rule it breaks, with the location its refusal names
 CORPUS = {
     "list-root": ([sec4_document()], "model: expected an object"),
@@ -89,6 +114,17 @@ CORPUS = {
     "H-empty-row": (_broken(lambda d: d.update(H=[[]])), "H must"),
     "forces-empty": (_broken(lambda d: d.update(forces=[])), "forces"),
     "offset-scalar": (_broken(_channel(offset=0.5)), "channels[0].offset"),
+    "deep-pair-bool": (_wide("H", 17, 4, value=[True, 0.0]), "H[17][4]: expected a"),
+    "deep-pair-string": (_wide("H", 17, 4, value=["1", 0.0]), "H[17][4]: expected a"),
+    "deep-pair-three": (
+        _wide("channels", 2, "l", 23, value=[1.0, 0.0, 0.0]),
+        "channels[2].l[23]: expected a",
+    ),
+    "deep-l-bool": (
+        _wide("channels", 2, "l", 23, value=[0.0, False]),
+        "channels[2].l[23]: expected a",
+    ),
+    "deep-row-scalar": (_wide("H", 17, value=1.0), "H[17]: expected an array"),
 }
 
 
@@ -186,6 +222,43 @@ def test_out_of_range_number_is_bad_input(tmp_path, capsys):
     path = write_model(tmp_path, doc)
     assert main(["analyze", "--model", path]) == 2
     assert "H[0][0]: number outside the float range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        (_wide("H", 17, 4, value=[10**400, 0.0]), "H[17][4]: number outside the float range"),
+        (
+            _wide("channels", 2, "l", 23, value=[0.0, -(10**400)]),
+            "channels[2].l[23]: number outside the float range",
+        ),
+        (_wide("H", 17, 29, value=None), "H: ragged rows"),
+    ],
+    ids=["deep-H-out-of-range", "deep-l-out-of-range", "ragged-row"],
+)
+def test_deep_schema_valid_faults_are_bad_input(tmp_path, capsys, doc, where):
+    # the schema bounds neither the numbers nor the row lengths
+    assert _schema_valid(doc)
+    assert main(["analyze", "--model", write_model(tmp_path, doc)]) == 2
+    assert where in capsys.readouterr().err
+
+
+def test_well_formed_arrays_skip_the_per_pair_walk(tmp_path, monkeypatch):
+    walked = []
+    real = cli._from_pair
+
+    def counting(obj, where, index=None):
+        walked.append(where)
+        return real(obj, where, index)
+
+    monkeypatch.setattr(cli, "_from_pair", counting)
+    doc = _wide("H", 0, 0, value=[1.0, 0.0])
+    doc["K"] = [[[0, 0]] * 30] * 30  # JSON integers decode as well
+    doc["forces"] = [[0.2, 0.1]] * 30
+    model = document_to_model(load_model_document(write_model(tmp_path, doc))[0])
+    assert walked == []
+    np.testing.assert_array_equal(model.H, np.eye(30))
+    np.testing.assert_array_equal(model.forces, np.full(30, 0.2 + 0.1j))
 
 
 def test_loader_keys_match_the_schema():
