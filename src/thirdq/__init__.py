@@ -37,7 +37,7 @@ from .model import (
 )
 from .structure import StructureMatrices, build_structure, realify
 from .spectral import (
-    DecayMode,
+    DecaySpectrum,
     RapiditySpectrum,
     Stability,
     SymplecticV,

@@ -156,6 +156,18 @@ def _csv_lines(table: np.ndarray) -> Iterator[str]:
         yield ",".join(map(repr, row.tolist()))
 
 
+def _index_lines(table: np.ndarray, top: int) -> Iterator[str]:
+    """Each row of a table of integers 0..top as one CSV line, in decimal.
+
+    Rows are spelled a block at a time by indexing one array of the
+    ``top + 1`` digit strings, so one block's strings are alive at a time.
+    """
+    digits = np.array([str(k) for k in range(top + 1)], dtype=object)
+    block = 4096
+    for start in range(0, len(table), block):
+        yield from map(",".join, digits[table[start : start + block]].tolist())
+
+
 def _json(value, level: int = 0) -> str:
     """``value`` as ``json`` writes it at an indent of 2, each array in one pass.
 
@@ -382,10 +394,11 @@ def cmd_spectrum(args) -> int:
     modes = liouville_spectrum(spectrum, args.max_excitation)
     two_n = 2 * model.n
     header = [f"m_{i + 1}" for i in range(two_n)] + ["re_lambda", "im_lambda"]
-    lam = np.array([mode.lam for mode in modes], dtype=complex)
     lines = (
-        ",".join(map(str, mode.m)) + "," + text
-        for mode, text in zip(modes, _csv_lines(_pairs(lam)))
+        index + "," + text
+        for index, text in zip(
+            _index_lines(modes.m, args.max_excitation), _csv_lines(_pairs(modes.lam))
+        )
     )
     _emit(_csv(header, lines), args.output)
     return 0

@@ -192,7 +192,10 @@ class Liouvillean:
     generator whose ``M`` is not real to ``HERMITICITY_TOL`` times
     ``|L|_F`` does not preserve Hermiticity and raises
     :class:`NumericalError`.  The sparse readout ``R`` gives every reported
-    moment of a state from its coordinates: ``R @ x``.
+    moment of a state from its coordinates: ``R @ x``.  ``blocks`` holds the
+    coordinate indices of each connected component of the sparsity graph of
+    ``M`` (without linear terms, superparity splits it into two); ``M``
+    couples no two blocks.
     """
 
     def __init__(self, ops: FockOperators, L: sp.spmatrix):
@@ -210,6 +213,8 @@ class Liouvillean:
             )
         self.M = M.real.tocsc()
         self.M.eliminate_zeros()
+        count, labels = scipy.sparse.csgraph.connected_components(self.M, directed=False)
+        self.blocks = tuple(np.flatnonzero(labels == b) for b in range(count))
         self.R = (_readout_operators(ops) @ self.U).tocsr()
 
     def trace_preservation_residual(self) -> float:
@@ -331,19 +336,13 @@ def oracle_steady_state(
 def oracle_spectrum(lio: Liouvillean, count: int) -> np.ndarray:
     """The ``count`` slowest generator eigenvalues, Re descending.
 
-    Eigenvalues only, from the dense real ``M`` one block at a time: a
-    block is a connected component of the sparsity graph of ``M`` (without
-    linear terms, superparity splits it into two).  Deep modes are
-    distorted by truncation; only the leading ones are comparable to the
-    analytic decay-mode lattice.
+    Eigenvalues only, from the dense real ``M`` one of its ``blocks`` at a
+    time.  Deep modes are distorted by truncation; only the leading ones are
+    comparable to the analytic decay-mode lattice.
     """
     M = lio.M
-    blocks, labels = scipy.sparse.csgraph.connected_components(M, directed=False)
     w = np.concatenate(
-        [
-            scipy.linalg.eigvals(M[idx][:, idx].toarray())
-            for idx in (np.flatnonzero(labels == b) for b in range(blocks))
-        ]
+        [scipy.linalg.eigvals(M[idx][:, idx].toarray()) for idx in lio.blocks]
     )
     order = np.lexsort((w.imag, -w.real))
     return w[order][:count].copy()
@@ -359,10 +358,12 @@ def oracle_evolve(lio: Liouvillean, rho0: np.ndarray, times) -> OracleTrajectory
     """Propagate vec(rho) = expm(L t) vec(rho0) on a uniform time grid.
 
     One call of ``scipy.sparse.linalg.expm_multiply`` evolves the real
-    coordinates U† vec(rho0) under ``M`` across the whole grid, and one
-    product with ``R`` reads the moments at every time.  A ``rho0`` of the
-    wrong shape raises :class:`DimensionMismatch`; a grid of fewer than two
-    times, or whose steps differ, raises :class:`InputError`.
+    coordinates U† vec(rho0) across the whole grid under the part of ``M``
+    on the blocks that rho0 touches; the blocks do not couple, so every
+    other coordinate stays exactly zero.  One product with ``R`` reads the
+    moments at every time.  A ``rho0`` of the wrong shape raises
+    :class:`DimensionMismatch`; a grid of fewer than two times, or whose
+    steps differ, raises :class:`InputError`.
     Returns normal-ordered covariance matrices, first moments and the trace
     at every time.
     """
@@ -376,8 +377,15 @@ def oracle_evolve(lio: Liouvillean, rho0: np.ndarray, times) -> OracleTrajectory
     if np.abs(steps - steps.mean()).max() > 1e-9 * max(1.0, np.abs(times).max()):
         raise InputError("oracle_evolve needs a uniform time grid")
     x0 = lio.U.conj().T @ rho0.ravel(order="F")
-    xs = scipy.sparse.linalg.expm_multiply(
-        lio.M, x0, start=times[0], stop=times[-1], num=times.size, endpoint=True
+    touched = [idx for idx in lio.blocks if x0[idx].any()]
+    if len(touched) in (0, len(lio.blocks)):  # a zero rho0 stays zero on all of M
+        idx, A = slice(None), lio.M
+    else:
+        idx = np.sort(np.concatenate(touched))
+        A = lio.M[idx][:, idx]
+    xs = np.zeros((times.size, x0.size), dtype=complex)
+    xs[:, idx] = scipy.sparse.linalg.expm_multiply(
+        A, x0[idx], start=times[0], stop=times[-1], num=times.size, endpoint=True
     )
     pair_aa, pair_adad, normal_ad_a, mean_a, mean_ad, _, _, trace = _moments(
         lio.ops.n, (lio.R @ xs.T).T

@@ -58,9 +58,19 @@ class RapiditySpectrum:
 
 
 @dataclass(frozen=True)
-class DecayMode:
-    m: tuple[int, ...]
-    lam: complex
+class DecaySpectrum:
+    """The decay-mode lattice as two aligned tables, slowest mode first.
+
+    ``m`` is the ``(count, 2n)`` table of multi-indices in the smallest
+    unsigned integer dtype that holds the cutoff; ``lam`` holds the
+    ``(count,)`` complex rates lambda_m of its rows.
+    """
+
+    m: np.ndarray
+    lam: np.ndarray
+
+    def __len__(self) -> int:
+        return self.lam.size
 
 
 @dataclass(frozen=True)
@@ -112,26 +122,29 @@ def spectral_gap(spectrum: RapiditySpectrum) -> float:
     return float(2.0 * spectrum.beta.real.min())
 
 
-def _compositions(total: int, slots: int):
-    if slots == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, slots - 1):
-            yield (first,) + rest
-
-
 def liouville_spectrum(
     spectrum: RapiditySpectrum,
     max_total_excitation: int,
     count_limit: int = COUNT_LIMIT,
-) -> list[DecayMode]:
+) -> DecaySpectrum:
     """Enumerate decay modes lambda_m = -2 m . beta with sum(m) <= cutoff.
 
     Modes are returned slowest-first (Re lambda descending), ties broken by
     lexicographic multi-index.  The zero multi-index is the steady state,
-    lambda = 0.  A negative cutoff raises :class:`InputError`; enumerations
-    larger than ``count_limit`` raise :class:`CutoffTooLarge`.
+    lambda = 0.  A negative cutoff raises :class:`InputError`, a spectrum
+    that is not Stable :class:`NotStable`, and an enumeration larger than
+    ``count_limit`` :class:`CutoffTooLarge`, each before any table is
+    allocated.
+
+    The lattice is grown from the last slot to the first.  Each slot r is
+    prepended, value by value in ascending order, to every suffix whose sum
+    still fits, so the rows come out in lexicographic order and one stable
+    sort on Re lambda gives the final order; each row keeps only its value
+    and the index of its suffix until the sorted table is read back along
+    those links.  Summation rule: the rate of a row is
+    -2 (m_1 beta_1 + (m_2 beta_2 + (... + m_{2n} beta_{2n}))), each product
+    and sum a complex operation.  At a cutoff of 2 or less a rate has at
+    most two nonzero terms, so every summation order gives these bits.
     """
     if max_total_excitation < 0:
         raise InputError("max_total_excitation must be >= 0")
@@ -139,18 +152,32 @@ def liouville_spectrum(
         raise NotStable("decay-mode spectrum requires a Stable rapidity spectrum")
     beta = spectrum.beta
     slots = beta.size
-    count = math.comb(slots + max_total_excitation, slots)
+    cutoff = max_total_excitation
+    count = math.comb(slots + cutoff, slots)
     if count > count_limit:
         raise CutoffTooLarge(
             f"enumeration would produce {count} modes (limit {count_limit})"
         )
-    modes = []
-    for total in range(max_total_excitation + 1):
-        for m in _compositions(total, slots):
-            lam = complex(-2.0 * np.dot(m, beta))
-            modes.append(DecayMode(m=m, lam=lam))
-    modes.sort(key=lambda d: (-d.lam.real, d.m))
-    return modes
+    values = np.arange(cutoff + 1, dtype=np.min_scalar_type(cutoff))
+    total = values
+    dot = values * beta[-1]  # m . beta of every suffix
+    links = []  # (value, suffix index) of every row, one pair per prepended slot
+    for b in beta[-2::-1]:
+        fits = [np.flatnonzero(total <= cutoff - v) for v in values]
+        suffix = np.concatenate(fits)
+        value = np.repeat(values, [f.size for f in fits])
+        total = value + total[suffix]
+        dot = value * b + dot[suffix]
+        links.append((value, suffix))
+    lam = -2.0 * dot
+    order = np.argsort(-lam.real, kind="stable")
+    columns = np.empty((slots, count), dtype=values.dtype)
+    row = np.arange(count)
+    for j, (value, suffix) in enumerate(reversed(links)):
+        columns[j] = value[row]
+        row = suffix[row]
+    columns[-1] = row
+    return DecaySpectrum(m=columns.T[order], lam=lam[order])
 
 
 def _symplectic_unit(two_n: int) -> np.ndarray:

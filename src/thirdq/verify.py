@@ -135,7 +135,7 @@ def run_verification(
         wick_max = float(np.abs(wick_analytic - ss.wick4).max())
 
     max_exc = 2 if n == 1 else 1
-    analytic_vals = np.array([m.lam for m in liouville_spectrum(spectrum, max_exc)])
+    analytic_vals = liouville_spectrum(spectrum, max_exc).lam
     oracle_vals = oracle_spectrum(lio, analytic_vals.size)
     # optimal matching avoids ordering artifacts among near-ties
     cost = np.abs(analytic_vals[:, None] - oracle_vals[None, :])

@@ -243,11 +243,8 @@ def test_criterion_6_dynamics_decay_slope(sec4_liouvillean):
     Z = solve(struct.X, struct.Y, spectrum).Z
     traj = covariance_trajectory(struct.X, struct.Y, np.zeros((2, 2)), times)
     cov_slope = fit_decay_slope(times, [np.linalg.norm(C - Z) for C in traj.C])
-    two_rate = min(
-        -mode.lam.real
-        for mode in liouville_spectrum(spectrum, 2)
-        if sum(mode.m) == 2
-    )
+    modes = liouville_spectrum(spectrum, 2)
+    two_rate = min(-modes.lam.real[modes.m.sum(axis=1) == 2])
 
     ok = (
         abs(slope - 0.5) <= 0.05 * 0.5

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from thirdq import cli
-from thirdq.cli import document_to_model, main
+from thirdq.cli import document_to_model, main, model_to_document
+from thirdq.model import LindbladChannel, validate_model
 from thirdq.ness import covariance_trajectory, mean_source, mean_trajectory
 from thirdq.spectral import liouville_spectrum, rapidities
 from thirdq.structure import build_structure
@@ -142,10 +143,51 @@ def test_spectrum_lines_match_the_per_value_table(tmp_path, capsys):
         assert main(["spectrum", "--model", write_model(tmp_path, doc), "-M", "3"]) == 0
         lines = capsys.readouterr().out.splitlines()
         struct = build_structure(document_to_model(doc))
+        modes = liouville_spectrum(rapidities(struct.X), 3)
         expected = [
-            ",".join(
-                [str(mi) for mi in mode.m] + [cli._fmt(mode.lam.real), cli._fmt(mode.lam.imag)]
-            )
-            for mode in liouville_spectrum(rapidities(struct.X), 3)
+            ",".join([str(mi) for mi in m] + [cli._fmt(lam.real), cli._fmt(lam.imag)])
+            for m, lam in zip(modes.m.tolist(), modes.lam)
         ]
         assert lines[1:] == expected
+
+
+def _recursive_spectrum_lines(beta, cutoff):
+    """Spectrum CSV rows as the recursive-generator enumeration wrote them."""
+
+    def compositions(total, slots):
+        if slots == 1:
+            yield (total,)
+            return
+        for first in range(total + 1):
+            for rest in compositions(total - first, slots - 1):
+                yield (first,) + rest
+
+    modes = []
+    for total in range(cutoff + 1):
+        for m in compositions(total, beta.size):
+            modes.append((m, complex(-2.0 * np.dot(m, beta))))
+    modes.sort(key=lambda d: (-d[1].real, d[0]))
+    return [
+        ",".join([str(mi) for mi in m] + [cli._fmt(lam.real), cli._fmt(lam.imag)])
+        for m, lam in modes
+    ]
+
+
+def _random_chain(rng, n):
+    """A hopping chain with local loss above local gain: Stable for any hopping."""
+    hop = rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1)
+    H = np.diag(rng.uniform(0.5, 1.5, n)) + np.diag(hop, 1) + np.diag(hop.conj(), -1)
+    loss, gain = rng.uniform(0.5, 1.0, n), rng.uniform(0.0, 0.4, n)
+    zero = np.zeros(n)
+    channels = [LindbladChannel(l=np.sqrt(u) * e, k=zero) for u, e in zip(loss, np.eye(n))]
+    channels += [LindbladChannel(l=zero, k=np.sqrt(v) * e) for v, e in zip(gain, np.eye(n))]
+    return validate_model(n, H, None, channels)
+
+
+def test_spectrum_csv_matches_the_recursive_enumeration(tmp_path, capsys, rng):
+    doc = model_to_document(_random_chain(rng, 10))
+    assert main(["spectrum", "--model", write_model(tmp_path, doc), "-M", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    beta = rapidities(build_structure(document_to_model(doc)).X).beta
+    assert len(lines) == 1 + math.comb(22, 2)
+    assert lines[1:] == _recursive_spectrum_lines(beta, 2)

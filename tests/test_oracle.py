@@ -289,6 +289,46 @@ def test_evolution_matches_matrix_exponential(rng):
         assert abs(traj.trace[i] - np.trace(rho_t)) <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "model,cutoff,blocks,spread,touched",
+    [
+        (sec4_model(), 8, 2, 8, 2),
+        (two_mode_model(), 4, 7, 8, 7),
+        (two_mode_model(), 4, 7, 1, 2),
+    ],
+)
+def test_evolution_on_touched_blocks_matches_matrix_exponential(
+    rng, model, cutoff, blocks, spread, touched
+):
+    # no linear terms: M splits into its even and odd superparity blocks, and
+    # two_mode_model conserves the excitation number N, which splits it further
+    lio = build_liouvillean_matrix(model, cutoff)
+    assert len(lio.blocks) == blocks
+    A = rng.normal(size=(lio.dim, lio.dim)) + 1j * rng.normal(size=(lio.dim, lio.dim))
+    rho0 = A @ A.conj().T
+    # keep the coherences between Fock states whose N differ by at most spread
+    N = sum(np.meshgrid(*[np.arange(cutoff)] * model.n, indexing="ij")).ravel()
+    rho0 *= np.abs(N[:, None] - N[None, :]) <= spread
+    rho0 /= np.trace(rho0)
+    x0 = lio.U.conj().T @ rho0.ravel(order="F")
+    assert sum(x0[idx].any() for idx in lio.blocks) == touched
+    times = np.linspace(0.0, 3.0, 7)
+    traj = oracle_evolve(lio, rho0, times)
+    a = dense_ladders(model.n, cutoff)
+    L = lio.L.toarray()
+    for i, t in enumerate(times):
+        vec_t = scipy.linalg.expm(L * t) @ rho0.ravel(order="F")
+        rho_t = vec_t.reshape((lio.dim, lio.dim), order="F")
+        assert np.abs(traj.cov[i] - normal_covariance(a, rho_t)).max() <= 1e-10
+        means = [np.trace(m @ rho_t) for m in a + [m.conj().T for m in a]]
+        assert np.abs(traj.means[i] - means).max() <= 1e-10
+        assert abs(traj.trace[i] - np.trace(rho_t)) <= 1e-10
+    # rho0 touches an odd block, whose coordinates carry <a>
+    assert np.abs(traj.means).max() > 1e-3
+    # the vacuum touches only the even block; the odd ones stay exactly zero
+    assert np.all(oracle_evolve(lio, vacuum_state(lio), times).means == 0)
+
+
 def test_evolution_refuses_non_uniform_grid():
     lio = build_liouvillean_matrix(sec4_model(), 6)
     with pytest.raises(InputError):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from thirdq import (
     CutoffTooLarge,
     DefectiveX,
+    InputError,
     NotStable,
     Stability,
     SymplecticityViolation,
@@ -88,30 +90,30 @@ def test_spectral_gap_values():
 def test_decay_modes_cutoff_one():
     _, sp = _sec4_spectrum()
     modes = liouville_spectrum(sp, 1)
-    assert [m.m for m in modes] == [(0, 0), (0, 1), (1, 0)]
-    assert modes[0].lam == 0
-    got = sorted((m.lam for m in modes[1:]), key=lambda z: z.imag)
+    assert modes.m.tolist() == [[0, 0], [0, 1], [1, 0]]
+    assert modes.lam[0] == 0
+    got = sorted(modes.lam[1:], key=lambda z: z.imag)
     assert np.allclose(got, [-0.5 - 1j, -0.5 + 1j], atol=1e-12, rtol=0)
 
 
 def test_decay_modes_cutoff_two_multiset():
     _, sp = _sec4_spectrum()
     modes = liouville_spectrum(sp, 2)
-    got = np.sort_complex(np.array([m.lam for m in modes]))
+    got = np.sort_complex(modes.lam)
     expected = np.sort_complex(
         np.array([0, -0.5 - 1j, -0.5 + 1j, -1.0, -1 - 2j, -1 + 2j])
     )
     assert np.allclose(got, expected, atol=1e-12, rtol=0)
     # every mode satisfies its defining linear combination exactly
-    for mode in modes:
-        assert mode.lam == -2 * np.dot(mode.m, sp.beta)
+    for m, lam in zip(modes.m.tolist(), modes.lam):
+        assert lam == -2 * np.dot(m, sp.beta)
 
 
 def test_zero_multi_index_is_steady_state(rng):
     beta = np.abs(rng.normal(size=4)) + 1j * rng.normal(size=4) + 0.1
     modes = liouville_spectrum(_diagonal_spectrum(beta), 0)
     assert len(modes) == 1
-    assert modes[0].lam == 0
+    assert modes.lam[0] == 0
 
 
 @pytest.mark.parametrize("n,cutoff", [(1, 2), (1, 5), (2, 3), (3, 2)])
@@ -132,13 +134,92 @@ def test_decay_modes_require_stability():
         liouville_spectrum(_diagonal_spectrum([-0.1, 0.3]), 2)
 
 
+def _brute_force_modes(beta, cutoff):
+    """Every m with sum(m) <= cutoff, in the order (-Re lambda, m), lambda by np.dot."""
+    beta = np.asarray(beta, dtype=complex)
+    modes = [
+        (m, complex(-2.0 * np.dot(m, beta)))
+        for m in itertools.product(range(cutoff + 1), repeat=beta.size)
+        if sum(m) <= cutoff
+    ]
+    modes.sort(key=lambda d: (-d[1].real, d[0]))
+    return [list(m) for m, _ in modes], np.array([lam for _, lam in modes])
+
+
+def _bits(z):
+    return np.atleast_1d(np.asarray(z, dtype=complex)).view(np.uint64)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("cutoff", [0, 1, 2, 3, 4])
+def test_decay_modes_match_brute_force_with_ties(n, cutoff):
+    # dyadic rapidities make every sum exact, and equal real parts make
+    # many rates tie, so the order rests on the multi-index tie-break
+    re = [0.25, 0.5, 0.25, 0.75, 0.5, 0.25][: 2 * n]
+    im = [1.0, -0.5, -1.0, 0.0, 0.5, 1.0][: 2 * n]
+    sp = _diagonal_spectrum(np.array(re) + 1j * np.array(im))
+    modes = liouville_spectrum(sp, cutoff)
+    m, lam = _brute_force_modes(sp.beta, cutoff)
+    assert modes.m.dtype == np.uint8
+    assert modes.m.tolist() == m
+    assert np.array_equal(_bits(modes.lam), _bits(lam))
+
+
+def test_decay_modes_match_brute_force_bits_up_to_two(rng):
+    for _ in range(20):
+        _, _, sp = random_stable_model(rng, n=int(rng.integers(1, 4)))
+        for cutoff in (0, 1, 2):
+            modes = liouville_spectrum(sp, cutoff)
+            m, lam = _brute_force_modes(sp.beta, cutoff)
+            assert modes.m.tolist() == m
+            assert np.array_equal(_bits(modes.lam), _bits(lam))
+
+
+def test_decay_mode_rates_follow_the_summation_rule(rng):
+    # above a cutoff of 2 the bits are those of the documented right-to-left sum
+    for _ in range(10):
+        _, _, sp = random_stable_model(rng, n=int(rng.integers(1, 4)))
+        modes = liouville_spectrum(sp, 4)
+        m, _ = _brute_force_modes(sp.beta, 4)
+        assert sorted(modes.m.tolist()) == sorted(m)
+        for row, lam in zip(modes.m.tolist(), modes.lam):
+            acc = row[-1] * sp.beta[-1]
+            for k, b in zip(row[-2::-1], sp.beta[-2::-1]):
+                acc = k * b + acc
+            assert np.array_equal(_bits(lam), _bits(-2.0 * acc))
+        assert np.all(np.diff(-modes.lam.real) >= 0)
+
+
+def test_decay_mode_table_dtype_holds_the_cutoff():
+    sp = _diagonal_spectrum([0.5, 0.75])
+    assert liouville_spectrum(sp, 255).m.dtype == np.uint8
+    big = liouville_spectrum(sp, 256)
+    assert big.m.dtype == np.uint16
+    assert big.m.max() == 256 and len(big) == math.comb(258, 2)
+
+
+def test_decay_mode_refusals_allocate_nothing(monkeypatch):
+    from thirdq import spectral
+
+    stable = _diagonal_spectrum(np.full(200, 1.0 + 0j))
+    unstable = _diagonal_spectrum([-0.1, 0.3])
+    # any numpy call after the refusal checks would raise AttributeError
+    monkeypatch.setattr(spectral, "np", None)
+    with pytest.raises(CutoffTooLarge):
+        liouville_spectrum(stable, 10**6)
+    with pytest.raises(InputError):
+        liouville_spectrum(stable, -1)
+    with pytest.raises(NotStable):
+        liouville_spectrum(unstable, 2)
+
+
 def test_gap_matches_slowest_decay_mode(rng):
     for _ in range(20):
         _, _, sp = random_stable_model(rng)
         gap = spectral_gap(sp)
         for cutoff in (1, 2):
             modes = liouville_spectrum(sp, cutoff)
-            slowest = max(m.lam.real for m in modes if any(m.m))
+            slowest = modes.lam.real[modes.m.any(axis=1)].max()
             assert gap == pytest.approx(-slowest, rel=1e-12)
 
 
