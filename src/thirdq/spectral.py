@@ -173,7 +173,8 @@ def liouville_spectrum(
     order = np.argsort(-lam.real, kind="stable")
     columns = np.empty((slots, count), dtype=values.dtype)
     row = np.arange(count)
-    for j, (value, suffix) in enumerate(reversed(links)):
+    for j in range(slots - 1):
+        value, suffix = links.pop()  # the first slot's link, freed once read
         columns[j] = value[row]
         row = suffix[row]
     columns[-1] = row
