@@ -378,14 +378,10 @@ def oracle_evolve(lio: Liouvillean, rho0: np.ndarray, times) -> OracleTrajectory
         raise InputError("oracle_evolve needs a uniform time grid")
     x0 = lio.U.conj().T @ rho0.ravel(order="F")
     touched = [idx for idx in lio.blocks if x0[idx].any()]
-    if len(touched) in (0, len(lio.blocks)):  # a zero rho0 stays zero on all of M
-        idx, A = slice(None), lio.M
-    else:
-        idx = np.sort(np.concatenate(touched))
-        A = lio.M[idx][:, idx]
+    idx = np.sort(np.concatenate(touched or lio.blocks))
     xs = np.zeros((times.size, x0.size), dtype=complex)
     xs[:, idx] = scipy.sparse.linalg.expm_multiply(
-        A, x0[idx], start=times[0], stop=times[-1], num=times.size, endpoint=True
+        lio.M[idx][:, idx], x0[idx], start=times[0], stop=times[-1], num=times.size, endpoint=True
     )
     pair_aa, pair_adad, normal_ad_a, mean_a, mean_ad, _, _, trace = _moments(
         lio.ops.n, (lio.R @ xs.T).T
