@@ -1,9 +1,11 @@
 """Brute-force ground truth on a truncated Fock space.
 
 For small systems the full master-equation generator is assembled sparse on
-column-vectorized density matrices and solved head-on, with no
-eigenvectors: steady state from a sparse shift-invert solve about zero,
-spectrum from dense eigenvalues only, time evolution by the action of the
+column-vectorized density matrices and solved head-on.  One implicitly
+restarted Arnoldi call (ARPACK) per decoupled block of the generator finds
+its slowest eigenvalues; the block that holds the identity also returns
+Ritz vectors, and its zero mode is the steady state.  Only a block too
+narrow for ARPACK is solved dense.  Time evolution is the action of the
 matrix exponential on one vector.  Nothing here shares code with the
 analytic pipeline, so agreement between the two certifies both.
 
@@ -53,6 +55,9 @@ from .model import BosonicModel
 
 DEFAULT_MEMCAP = 4_000_000  # max entries of the dense generator matrix
 HERMITICITY_TOL = 1e-12  # max |Im M| relative to |L|_F
+ARNOLDI_NCV = 30  # Krylov basis per block; ARPACK's 2k + 1 restarts far more often
+ARNOLDI_TOL = 1e-12  # relative accuracy of each Ritz value
+ZERO_TOL = 1e-9  # |lambda| below which an eigenvalue is a steady-state mode
 MEMCAP_ENV = "THIRDQ_MEMCAP"
 
 
@@ -183,6 +188,16 @@ def _moments(n: int, y: np.ndarray):
     return (*pairs, *parts[3:7], parts[7][..., 0])
 
 
+def _frobenius(values: np.ndarray) -> float:
+    """sqrt(sum |v|^2) by numpy's pairwise sum.
+
+    Unlike the BLAS dot products behind ``np.linalg.norm``, its order of
+    summation does not depend on the number of BLAS threads, so reports do
+    not either.
+    """
+    return float(np.sqrt(np.sum(values.real**2 + values.imag**2)))
+
+
 class Liouvillean:
     """The master-equation generator on vec'd density matrices.
 
@@ -204,7 +219,8 @@ class Liouvillean:
         self.L = L.tocsr()
         self.U = hermitian_basis(self.dim)
         M = self.U.conj().T @ self.L @ self.U
-        scale = scipy.sparse.linalg.norm(self.L)
+        self.L.sum_duplicates()
+        scale = _frobenius(self.L.data)
         imag = np.abs(M.data.imag).max(initial=0.0)
         if imag > HERMITICITY_TOL * scale:
             raise NumericalError(
@@ -220,9 +236,9 @@ class Liouvillean:
     def trace_preservation_residual(self) -> float:
         """|vec(I)† L| / |L|_F; zero for any Lindblad generator."""
         vec_id = (np.arange(self.dim**2) % (self.dim + 1) == 0).astype(complex)
-        lhs = np.linalg.norm(vec_id @ self.L)
-        scale = scipy.sparse.linalg.norm(self.L)
-        return float(lhs / scale) if scale > 0 else float(lhs)
+        lhs = _frobenius(vec_id @ self.L)
+        scale = _frobenius(self.L.data)
+        return lhs / scale if scale > 0 else lhs
 
 
 def _assemble_operators(model: BosonicModel, ops: FockOperators):
@@ -271,6 +287,7 @@ class OracleSteadyState:
     occupations: np.ndarray
     wick4: np.ndarray  # per-mode tr(a†_j a†_j a_j a_j rho)
     top_populations: np.ndarray
+    spectrum: np.ndarray  # the slowest eigenvalues of M, Re descending
 
 
 @dataclass(frozen=True)
@@ -281,33 +298,82 @@ class OracleTrajectory:
     trace: np.ndarray
 
 
-def oracle_steady_state(
-    lio: Liouvillean, top_level_tol: float = 1e-8
-) -> OracleSteadyState:
-    """Steady state from a sparse shift-invert solve of ``M`` about zero.
+def _slow_modes(B: sp.csc_matrix, k: int, vectors: bool):
+    """The ``k`` rightmost eigenvalues of the real block ``B``, Re descending.
 
-    The two eigenvalues of ``M`` nearest a tiny shift are found by ARPACK
-    from the fixed start vector vec(I); the one nearest zero gives the
-    null vector, whose moments (its trace among them) are read off with
-    ``R`` and scaled to unit trace.  A second eigenvalue indistinguishable
-    from zero raises :class:`DegenerateZeroEigenvalue` (no unique steady
-    state); a top-level Fock population above ``top_level_tol`` raises
+    Implicitly restarted Arnoldi (ARPACK) from the all-ones start vector;
+    with ``vectors`` it also returns their right eigenvectors as columns.
+    A block ARPACK cannot take (``k >= width - 1``, or no wider than its
+    Krylov basis) is solved dense.  Non-convergence raises
+    :class:`NumericalError`.
+    """
+    width = B.shape[0]
+    if k >= width - 1 or width <= ARNOLDI_NCV:
+        w, V = scipy.linalg.eig(B.toarray())
+    else:
+        try:
+            out = scipy.sparse.linalg.eigs(
+                B,
+                k=k,
+                which="LR",
+                ncv=min(width, max(ARNOLDI_NCV, 2 * k + 1)),  # ARPACK needs k + 2
+                tol=ARNOLDI_TOL,
+                v0=np.ones(width),
+                return_eigenvectors=vectors,
+            )
+        except scipy.sparse.linalg.ArpackNoConvergence:
+            raise NumericalError(
+                f"ARPACK did not converge on a {width}-wide block of M for k = {k}"
+            ) from None
+        w, V = out if vectors else (out, None)
+    order = np.argsort(-w.real, kind="stable")[:k]
+    return w[order], V[:, order] if vectors else None
+
+
+def _slow_spectrum(lio: Liouvillean, count: int, steady: bool):
+    """The slowest eigenvalues of ``M``: ``count`` from each of its blocks.
+
+    One eigensolve per block.  Returns every value found, Re descending
+    (Im ascending among ties), and, with ``steady``, the eigenvalue nearest
+    zero in the block of the identity coordinates with its eigenvector in
+    the full coordinates; without it, ``None``.
+    """
+    values, zero = [], None
+    for idx in lio.blocks:
+        want = steady and bool(idx[0] == 0)  # the identity's first coordinate
+        w, V = _slow_modes(lio.M[idx][:, idx], min(count, idx.size), want)
+        values.append(w)
+        if want:
+            j = int(np.argmin(np.abs(w)))
+            x = np.zeros(lio.M.shape[0], dtype=complex)
+            x[idx] = V[:, j]
+            zero = (w[j], x)
+    w = np.concatenate(values)
+    return w[np.lexsort((w.imag, -w.real))], zero
+
+
+def oracle_steady_state(
+    lio: Liouvillean, top_level_tol: float = 1e-8, count: int = 2
+) -> OracleSteadyState:
+    """Steady state as the zero mode of the slow spectrum of ``M``.
+
+    One ARPACK call per block of ``M`` finds its ``max(count, 2)`` rightmost
+    eigenvalues; the block that holds the identity coordinates also yields
+    their Ritz vectors.  The zero mode's vector gives the moments (its
+    trace among them), read off with ``R`` and scaled to unit trace, and
+    ``spectrum`` keeps the ``count`` slowest eigenvalues over all blocks.
+    A second eigenvalue in any block indistinguishable from zero, or a
+    null vector of vanishing trace, raises
+    :class:`DegenerateZeroEigenvalue` (no unique steady state); a top-level
+    Fock population above ``top_level_tol`` raises
     :class:`TruncationInsufficient` because the reported moments would be
     dominated by truncation bias.
     """
     dim = lio.dim
-    v0 = (np.arange(dim * dim) < dim).astype(float)  # coordinates of the identity
-    # shift-invert about a tiny nonzero shift; the zero mode dominates
-    vals, vecs = scipy.sparse.linalg.eigs(
-        lio.M, k=2, sigma=1e-9, which="LM", v0=v0
-    )
-    order = np.argsort(np.abs(vals))
-    if np.abs(vals[order[1]]) < 1e-9:
-        raise DegenerateZeroEigenvalue(
-            f"two eigenvalues within {np.abs(vals[order[1]]):.3e} of zero"
-        )
-    lam = vals[order[0]]
-    x = vecs[:, order[0]]
+    w, (lam, x) = _slow_spectrum(lio, max(count, 2), steady=True)
+    near = np.sort(np.abs(w))
+    if near[1] < ZERO_TOL:
+        raise DegenerateZeroEigenvalue(f"two eigenvalues within {near[1]:.3e} of zero")
     y = lio.R @ x
     tr = y[-1]
     if np.abs(tr) < 1e-12:
@@ -330,22 +396,20 @@ def oracle_steady_state(
         occupations=np.real(np.diag(normal_ad_a)).copy(),
         wick4=wick4,
         top_populations=top,
+        spectrum=w[:count].copy(),
     )
 
 
 def oracle_spectrum(lio: Liouvillean, count: int) -> np.ndarray:
     """The ``count`` slowest generator eigenvalues, Re descending.
 
-    Eigenvalues only, from the dense real ``M`` one of its ``blocks`` at a
-    time.  Deep modes are distorted by truncation; only the leading ones are
+    Eigenvalues only, from one ARPACK call per block of ``M`` (dense for a
+    block ARPACK cannot take, so ``count = dim**2`` gives every eigenvalue).
+    Deep modes are distorted by truncation; only the leading ones are
     comparable to the analytic decay-mode lattice.
     """
-    M = lio.M
-    w = np.concatenate(
-        [scipy.linalg.eigvals(M[idx][:, idx].toarray()) for idx in lio.blocks]
-    )
-    order = np.lexsort((w.imag, -w.real))
-    return w[order][:count].copy()
+    w, _ = _slow_spectrum(lio, count, steady=False)
+    return w[:count].copy()
 
 
 def vacuum_state(lio: Liouvillean) -> np.ndarray:

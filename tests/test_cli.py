@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from thirdq.cli import main, model_to_document
 
@@ -475,6 +480,43 @@ def test_verify_two_mode_model(tmp_path, capsys):
     res = json.loads(out)["results"]
     assert res["pass"] is True
     assert res["moment_max_delta"] < 1e-3
+
+
+def test_arpack_non_convergence_is_a_numerical_error(tmp_path, capsys, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence(
+            "ARPACK error -1: No convergence", np.empty(0), np.empty((0, 0))
+        )
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
+    path = write_model(tmp_path, sec4_document())
+    code, out, err = run_cli(capsys, "verify", "--model", path, "--cutoff", "30")
+    assert code == 3
+    assert out == ""
+    assert err == "error: ARPACK did not converge on a 450-wide block of M for k = 6\n"
+
+
+@pytest.mark.parametrize(
+    "document,flags",
+    [
+        (sec4_document(), ("--cutoff", "30")),
+        (two_mode_document(), ("--cutoff", "6", "--tol-moments", "1e-3")),
+    ],
+    ids=["one-mode", "two-mode"],
+)
+def test_verify_report_does_not_depend_on_blas_threads(tmp_path, document, flags):
+    path = write_model(tmp_path, document)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        out = subprocess.run(
+            [sys.executable, "-m", "thirdq.cli", "verify", "--model", path, *flags],
+            env=env, capture_output=True, check=True,
+        )
+        reports.append(out.stdout)
+    assert reports[0] == reports[1]
 
 
 def test_published_schemas_match_packaged_copies():

@@ -31,6 +31,7 @@ from thirdq import (
     vacuum_state,
     validate_model,
 )
+from thirdq.oracle import ARNOLDI_NCV, _slow_modes
 
 from conftest import (
     closed_model,
@@ -264,6 +265,75 @@ def test_real_form_spectrum_matches_dense_eig(rng, n, linear):
         got = oracle_spectrum(lio, lio.dim**2)
         ref = np.linalg.eigvals(lio.L.toarray())
         assert multiset_max_delta(got, ref) <= 1e-10 * np.abs(ref).max()
+
+
+def _fold(w):
+    """Each eigenvalue as Re + i|Im|: the two halves of a conjugate pair of a
+    real matrix fold onto one point, so a cut through a pair does not count."""
+    w = np.asarray(w)
+    return w.real + 1j * np.abs(w.imag)
+
+
+def _dense_slowest(lio, k):
+    """The k rightmost eigenvalues of M, each block solved dense."""
+    w = np.concatenate(
+        [np.linalg.eigvals(lio.M[idx][:, idx].toarray()) for idx in lio.blocks]
+    )
+    return w[np.argsort(-w.real, kind="stable")[:k]]
+
+
+def _dense_steady_rho(lio):
+    """The unit-trace null vector of the dense block of the identity."""
+    idx = next(idx for idx in lio.blocks if idx[0] == 0)
+    w, V = np.linalg.eig(lio.M[idx][:, idx].toarray())
+    x = np.zeros(lio.dim**2, dtype=complex)
+    x[idx] = V[:, np.argmin(np.abs(w))]
+    rho = (lio.U @ x).reshape((lio.dim, lio.dim), order="F")
+    return rho / np.trace(rho)
+
+
+def _forced_model():
+    # forces break superparity: M is one block
+    return validate_model(
+        1,
+        [[1.0]],
+        None,
+        [([1.0], [0.25], 0.1 - 0.05j), ([0.0], [np.sqrt(0.4375)])],
+        forces=np.array([0.2 + 0.1j]),
+    )
+
+
+@pytest.mark.parametrize(
+    "model,cutoff,k,blocks",
+    [(sec4_model(), 30, 6, 2), (two_mode_model(), 6, 5, 11), (_forced_model(), 30, 6, 1)],
+)
+def test_arnoldi_slow_modes_match_dense_blocks(model, cutoff, k, blocks):
+    lio = build_liouvillean_matrix(model, cutoff)
+    assert len(lio.blocks) == blocks
+    assert max(idx.size for idx in lio.blocks) > ARNOLDI_NCV  # ARPACK runs
+    ref = _dense_slowest(lio, k)
+    tol = 1e-10 * np.abs(ref).max()
+    assert multiset_max_delta(_fold(oracle_spectrum(lio, k)), _fold(ref)) <= tol
+    ss = oracle_steady_state(lio, top_level_tol=1e-3, count=k)
+    assert multiset_max_delta(_fold(ss.spectrum), _fold(ref)) <= tol
+    assert np.abs(ss.rho - _dense_steady_rho(lio)).max() <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "width,k",
+    # dense, then ARPACK, one column either side of each threshold
+    [(ARNOLDI_NCV, 6), (ARNOLDI_NCV + 1, 6), (40, 39), (40, 38)],
+)
+def test_slow_modes_agree_across_the_dense_arnoldi_threshold(rng, width, k):
+    B = scipy.sparse.csc_matrix(rng.normal(size=(width, width)))
+    dense = np.linalg.eigvals(B.toarray())
+    ref = dense[np.argsort(-dense.real)[:k]]
+    tol = 1e-10 * np.abs(ref).max()
+    w, _ = _slow_modes(B, k, vectors=False)
+    assert multiset_max_delta(_fold(w), _fold(ref)) <= tol
+    w, V = _slow_modes(B, k, vectors=True)
+    assert multiset_max_delta(_fold(w), _fold(ref)) <= tol
+    assert np.abs(B @ V - V * w).max() <= tol
 
 
 def test_evolution_matches_matrix_exponential(rng):
