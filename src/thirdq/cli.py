@@ -427,6 +427,8 @@ def cmd_dynamics(args) -> int:
 
     if args.steps < 1:
         raise SchemaError("--steps must be >= 1")
+    if not (math.isfinite(args.t0) and math.isfinite(args.t1)):
+        raise SchemaError("--t0 and --t1 must be finite")
     if args.t1 == args.t0:
         times = np.array([args.t0])
     else:
@@ -524,10 +526,7 @@ def cmd_sweep(args) -> int:
     n = int(doc["n"])
     if args.steps < 1:
         raise SchemaError("--steps must be >= 1")
-    if args.steps == 1:
-        grid = np.array([args.start])
-    else:
-        grid = np.linspace(args.start, args.stop, args.steps)
+    grid = np.linspace(args.start, args.stop, args.steps)
 
     rows = []
     for value in grid:

@@ -89,6 +89,7 @@ class BosonicModel:
         )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is refused below
 def validate_model(
     n: int,
     H,
@@ -123,6 +124,9 @@ def validate_model(
     repaired = bool(dev_h > 0.0 or dev_k > 0.0)
     H = (H + H.conj().T) / 2
     K = (K + K.T) / 2
+    for name, A in (("H", H), ("K", K)):
+        if not np.isfinite(A).all():
+            raise DimensionMismatch(f"{name} overflows the float range when symmetrized")
 
     chan_list = []
     for i, ch in enumerate(channels):

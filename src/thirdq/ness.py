@@ -104,6 +104,8 @@ def _uniform_grid(times) -> tuple[np.ndarray, float]:
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise InputError("times must be a non-empty 1-d array")
+    if not np.isfinite(times).all():
+        raise InputError("times must be finite")
     if times[0] < 0:
         raise InputError("times must be non-negative")
     steps = np.diff(times)
@@ -124,8 +126,11 @@ def _covariance_step(X: np.ndarray, Y: np.ndarray, h: float):
     swamp Q at large h.
     """
     m = X.shape[0]
-    s = int(np.ceil(np.log2(max(4.0 * np.abs(X).sum(axis=0).max() * h, 1.0))))
-    tau = h / 2**s
+    norm = 4.0 * np.abs(X).sum(axis=0).max() * h
+    if not np.isfinite(norm):
+        raise NumericalError("covariance overflows the float range on this grid")
+    s = int(np.ceil(np.log2(max(norm, 1.0))))  # at most 1024
+    tau = np.ldexp(h, -s)  # h / 2^s without forming 2^s, no float at s = 1024
     block = np.zeros((2 * m, 2 * m), dtype=complex)
     block[:m, :m] = 2.0 * tau * X.T
     block[:m, m:] = 2.0 * tau * Y

@@ -1,7 +1,10 @@
 """Brute-force ground truth on a truncated Fock space.
 
 For small systems the full master-equation generator is assembled sparse on
-column-vectorized density matrices and solved head-on.  One implicitly
+column-vectorized density matrices and solved head-on.  The Fock basis is
+one table of occupation vectors; the Hamiltonian, every jump operator and
+every moment read out are sums of ladder words, each read off that table
+array-at-a-time for all basis states at once.  One implicitly
 restarted Arnoldi call (ARPACK) per decoupled block of the generator finds
 its slowest eigenvalues; the block that holds the identity also returns
 Ritz vectors, and its zero mode is the steady state.  Only a block too
@@ -53,7 +56,7 @@ from .errors import (
 )
 from .model import BosonicModel
 
-DEFAULT_MEMCAP = 4_000_000  # max entries of the dense generator matrix
+DEFAULT_MEMCAP = 4_000_000  # max (d^n)^4, the generator's entries if it were dense
 HERMITICITY_TOL = 1e-12  # max |Im M| relative to |L|_F
 ARNOLDI_NCV = 30  # Krylov basis per block; ARPACK's 2k + 1 restarts far more often
 ARNOLDI_TOL = 1e-12  # relative accuracy of each Ritz value
@@ -87,37 +90,79 @@ def _check_cap(dim: int, memcap: int | None) -> None:
 
 @dataclass(frozen=True)
 class FockOperators:
-    """Per-mode annihilation operators on the truncated multi-mode space."""
+    """The truncated n-mode Fock basis as a table of occupation vectors.
+
+    ``occ[j, s]`` is the level of mode j + 1 in basis state s.  The table
+    comes from ``np.indices``, so mode 1 is the most significant digit of s
+    and the basis is ordered as the Kronecker product of the single-mode
+    spaces.  Every operator of the oracle is read off this table.
+    """
 
     n: int
     cutoff: int
-    a: tuple[sp.csr_matrix, ...]
+    occ: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.cutoff**self.n
+        return self.occ.shape[1]
 
-
-def _lift(op: sp.spmatrix, j: int, n: int, cutoff: int) -> sp.csr_matrix:
-    """``op`` on mode j of n, identity on every other; mode 1 is leftmost."""
-    left = sp.identity(cutoff**j, format="csr")
-    right = sp.identity(cutoff ** (n - j - 1), format="csr")
-    return sp.kron(sp.kron(left, op), right, format="csr")
+    @property
+    def a(self) -> tuple[sp.csr_matrix, ...]:
+        """Per-mode annihilation matrices, (a)_{m, m+1} = sqrt(m + 1) on each mode."""
+        return tuple(_operator(self, [(-j,)], np.ones(1)) for j in range(1, self.n + 1))
 
 
 def build_fock_operators(n: int, cutoff: int, memcap: int | None = None) -> FockOperators:
-    """Sparse ladder matrices lifted to the n-mode product space.
+    """The occupation table of n modes at ``cutoff`` levels each.
 
-    The single-mode matrix has (a)_{m, m+1} = sqrt(m + 1).  A cutoff below
-    2 raises :class:`InputError`; a space over the memcap raises
-    :class:`DimensionCap`.
+    A cutoff below 2 raises :class:`InputError`; a space over the memcap
+    raises :class:`DimensionCap`.
     """
     if cutoff < 2:
         raise InputError(f"cutoff must be >= 2, got {cutoff}")
     _check_cap(cutoff**n, memcap)
-    a1 = sp.diags(np.sqrt(np.arange(1, cutoff, dtype=float)), 1)
-    a = tuple(_lift(a1, j, n, cutoff) for j in range(n))
-    return FockOperators(n=n, cutoff=cutoff, a=a)
+    return FockOperators(n=n, cutoff=cutoff, occ=np.indices((cutoff,) * n).reshape(n, -1))
+
+
+def _read_words(ops: FockOperators, words) -> tuple[np.ndarray, ...]:
+    """Every nonzero entry of each ladder word on the truncated space.
+
+    Each word is a sequence of letters: j stands for a†_j and -j for a_j
+    (modes counted from 1), and the rightmost letter acts first; the empty
+    word is the identity.  The words are padded on the left with the
+    identity letter 0 into a (T, p) array, and each letter is applied to
+    every word and every basis state at once; a state pushed past the top
+    level or below zero drops out, exactly as in a product of truncated
+    ladder matrices.  Returns (word, row, col, value), word by word, each
+    value the product of the letters' square-root factors.
+    """
+    p = max(map(len, words))
+    words = np.array([(0,) * (p - len(w)) + tuple(w) for w in words], dtype=int)
+    word, col = np.divmod(np.arange(len(words) * ops.dim), ops.dim)
+    row, value = col, np.ones(col.size)
+    stride = ops.dim // ops.cutoff ** np.arange(1, ops.n + 1)  # index step of a level in mode j
+    for letters in words.T[::-1]:
+        j, step = np.abs(letters[word]) - 1, np.sign(letters[word])
+        old = ops.occ[j, row]
+        new = old + step
+        value = value * np.where(step != 0, np.sqrt(np.maximum(old, new)), 1.0)
+        keep = (new >= 0) & (new < ops.cutoff)
+        word, row, col, value = (x[keep] for x in (word, row + step * stride[j], col, value))
+    return word, row, col, value
+
+
+def _operator(ops: FockOperators, words, coef: np.ndarray) -> sp.csr_matrix:
+    """sum_t coef[t] word_t as a CSR matrix with no stored zeros.
+
+    Terms that meet in one entry are added one by one in word order, the
+    order in which a running sum of the separate matrices would add them.
+    """
+    word, row, col, value = _read_words(ops, words)
+    key, slot = np.unique(row * ops.dim + col, return_inverse=True)
+    data = np.zeros(key.size, dtype=coef.dtype)
+    np.add.at(data, slot, coef[word] * value)
+    keep = data != 0
+    return sp.csr_matrix((data[keep], np.divmod(key[keep], ops.dim)), shape=(ops.dim,) * 2)
 
 
 def hermitian_basis(dim: int) -> sp.csr_matrix:
@@ -147,33 +192,30 @@ def hermitian_basis(dim: int) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=(dim * dim, dim * dim))
 
 
+def _quadratic_words(n: int) -> list[tuple[int, ...]]:
+    """a_j a_k, a†_j a†_k and a†_k a_j for every (j, k) row-major; a_j; a†_j."""
+    j, k = np.indices((n, n)).reshape(2, -1) + 1
+    m = np.arange(1, n + 1)
+    return [*zip(-j, -k), *zip(j, k), *zip(k, -j), *zip(-m), *zip(m)]
+
+
 def _readout_operators(ops: FockOperators) -> sp.csr_matrix:
     """The rows vec(A^T)^T, so that row A times vec(rho) is tr(A rho).
 
     Under column stacking vec(A^T) is A flattened row by row.  The operators
-    A come in the order :func:`_moments` splits: a_j a_k, a†_j a†_k and
-    a†_k a_j for every (j, k); a_j; a†_j; a†_j a†_j a_j a_j; the projector
-    on the top level of mode j; the identity.
+    A come in the order :func:`_moments` splits: the quadratic words of
+    :func:`_quadratic_words`; a†_j a†_j a_j a_j; the projector on the top
+    level of mode j, read straight from the occupation table; the identity.
     """
-    n, d, a = ops.n, ops.cutoff, ops.a
-    ad = [m.conj().T for m in a]
-    pairs = [(j, k) for j in range(n) for k in range(n)]
-    top = sp.diags((np.arange(d) == d - 1).astype(float))
-    rows = (
-        [a[j] @ a[k] for j, k in pairs]
-        + [ad[j] @ ad[k] for j, k in pairs]
-        + [ad[k] @ a[j] for j, k in pairs]
-        + list(a)
-        + ad
-        + [ad[j] @ ad[j] @ a[j] @ a[j] for j in range(n)]
-        + [_lift(top, j, n, d) for j in range(n)]
-        + [sp.identity(ops.dim)]
-    )
-    coo = [A.tocoo() for A in rows]
-    data = np.concatenate([A.data for A in coo])
-    index = np.repeat(np.arange(len(coo)), [A.nnz for A in coo])
-    flat = np.concatenate([A.row * ops.dim + A.col for A in coo])
-    return sp.csr_matrix((data, (index, flat)), shape=(len(coo), ops.dim**2))
+    n, dim = ops.n, ops.dim
+    m = np.arange(1, n + 1)
+    words = _quadratic_words(n) + [*zip(m, m, -m, -m)]
+    word, row, col, value = _read_words(ops, words + [()])
+    mode, state = np.nonzero(ops.occ == ops.cutoff - 1)
+    index = np.concatenate([word + n * (word == len(words)), len(words) + mode])
+    flat = np.concatenate([row * dim + col, state * (dim + 1)])
+    data = np.concatenate([value, np.ones(state.size)])
+    return sp.csr_matrix((data, (index, flat)), shape=(len(words) + n + 1, dim**2))
 
 
 def _moments(n: int, y: np.ndarray):
@@ -242,25 +284,13 @@ class Liouvillean:
 
 
 def _assemble_operators(model: BosonicModel, ops: FockOperators):
-    n, a = model.n, ops.a
-    ad = [m.conj().T for m in a]
-    H = sum(
-        model.H[j, k] * (ad[j] @ a[k]) for j in range(n) for k in range(n)
-    ) + sum(
-        model.K[j, k] * (a[j] @ a[k]) + np.conj(model.K[j, k]) * (ad[j] @ ad[k])
-        for j in range(n)
-        for k in range(n)
-    )
-    if model.forces is not None:
-        for j in range(n):
-            H = H + model.forces[j] * a[j] + np.conj(model.forces[j]) * ad[j]
-    jumps = []
-    for ch in model.channels:
-        L = sum(ch.l[j] * a[j] + ch.k[j] * ad[j] for j in range(n))
-        if ch.offset != 0:
-            L = L + ch.offset * sp.identity(ops.dim)
-        jumps.append(L)
-    return H, jumps
+    f = np.zeros(model.n, dtype=complex) if model.forces is None else model.forces
+    K = model.K.ravel()
+    coef = np.r_[K, K.conj(), model.H.T.ravel(), f, f.conj()]  # a†_k a_j takes H_kj
+    H = _operator(ops, _quadratic_words(model.n), coef)
+    m = np.arange(1, model.n + 1)
+    ladder = [*zip(-m), *zip(m), ()]  # a_j, a†_j, the identity
+    return H, [_operator(ops, ladder, np.r_[ch.l, ch.k, ch.offset]) for ch in model.channels]
 
 
 def build_liouvillean_matrix(

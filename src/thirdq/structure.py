@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotRealSimilar
+from .errors import NotRealSimilar, NumericalError
 from .model import BosonicModel, bath_matrices
 
 
@@ -42,6 +42,7 @@ class StructureMatrices:
         return self.X.shape[0] // 2
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is refused below
 def build_structure(model: BosonicModel) -> StructureMatrices:
     """Assemble X, Y and S0 = trace(M) - trace(N) from a validated model."""
     n = model.n
@@ -63,6 +64,8 @@ def build_structure(model: BosonicModel) -> StructureMatrices:
     )
     Y = (Y + Y.T) / 2
     S0 = complex(np.trace(M) - np.trace(N))
+    if not (np.isfinite(X).all() and np.isfinite(Y).all() and np.isfinite(S0)):
+        raise NumericalError("X, Y or S0 overflows the float range")
     return StructureMatrices(X=X, Y=Y, S0=S0)
 
 

@@ -293,7 +293,9 @@ def test_sweep_stability_boundary(tmp_path, capsys):
     assert rows[idx - 1][3] != ""
 
 
-def test_sweep_single_step_matches_analyze(tmp_path, capsys):
+@pytest.mark.parametrize("stop", ["1.0", "2.0"])
+def test_sweep_single_step_matches_analyze(tmp_path, capsys, stop):
+    # one step is the grid [--from] whatever --to is
     path = write_model(tmp_path, sec4_document())
     code, out, _ = run_cli(
         capsys,
@@ -305,13 +307,14 @@ def test_sweep_single_step_matches_analyze(tmp_path, capsys):
         "--from",
         "1.0",
         "--to",
-        "1.0",
+        stop,
         "--steps",
         "1",
     )
     assert code == 0
     _, rows = parse_csv(out)
     assert len(rows) == 1
+    assert float(rows[0][0]) == 1.0
     assert rows[0][2] == "Stable"
     assert float(rows[0][3]) == pytest.approx(0.5, abs=1e-12)
     assert float(rows[0][4]) == pytest.approx(1.0, abs=1e-10)
@@ -647,6 +650,63 @@ def test_dynamics_bad_grid_is_bad_input(tmp_path, capsys, flags):
     path = write_model(tmp_path, sec4_document())
     code, _, _ = run_cli(capsys, "dynamics", "--model", path, *flags)
     assert code == 2
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["reference", "forced"])
+@pytest.mark.parametrize(
+    "flags,codes",
+    [
+        (("--t1", "nan"), (2, 2)),
+        (("--t1", "inf"), (2, 2)),
+        (("--t0", "nan", "--t1", "1"), (2, 2)),
+        # h = 5e307: the covariance relaxes; the forced mean leaves the float range
+        (("--t1", "1e308", "--steps", "3"), (0, 3)),
+        # h = 1.7e308: 4 |X|_1 h, the Van Loan scaling, is infinite
+        (("--t1", "1.7e308", "--steps", "2"), (3, 3)),
+    ],
+    ids=["t1-nan", "t1-inf", "t0-nan", "t1-1e308", "t1-1.7e308"],
+)
+def test_dynamics_non_finite_or_huge_grid_is_refused(tmp_path, capsys, flags, codes, forced):
+    doc = sec4_document()
+    if forced:
+        doc["forces"] = [[0.2, 0.1]]
+    path = write_model(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "dynamics", "--model", path, *flags)
+    assert code == codes[forced]
+    if code == 0:
+        _, rows = parse_csv(out)
+        assert len(rows) == 3
+        assert np.isfinite(np.array(rows, dtype=float)).all()
+        assert err == ""
+    else:
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["analyze", "ness", "dynamics", "verify"])
+@pytest.mark.parametrize(
+    "change,code",
+    [
+        # (H + H^H) / 2 overflows to inf
+        (lambda doc: doc.update(H=[[[1e308, 0.0]]]), 2),
+        # the bath matrix l l^H overflows to inf
+        (lambda doc: doc["channels"][0].update(l=[[1e200, 0.0]]), 3),
+    ],
+    ids=["huge-H", "huge-l"],
+)
+def test_model_overflowing_the_float_range_is_refused(tmp_path, capsys, command, change, code):
+    doc = sec4_document()
+    change(doc)
+    path = write_model(tmp_path, doc)
+    extra = ("--t1", "1") if command == "dynamics" else ()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out, err = run_cli(capsys, command, "--model", path, *extra)
+    assert got == code
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 @pytest.mark.parametrize(

@@ -273,6 +273,16 @@ def test_non_uniform_grid_is_bad_input():
         mean_trajectory(struct.X, None, np.ones(2, dtype=complex), times)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_grid_is_bad_input(bad):
+    struct, _, _ = _sec4_solution()
+    times = [0.0, bad]
+    with pytest.raises(InputError):
+        covariance_trajectory(struct.X, struct.Y, np.zeros((2, 2)), times)
+    with pytest.raises(InputError):
+        mean_trajectory(struct.X, None, np.ones(2, dtype=complex), times)
+
+
 def test_mean_single_late_time(rng):
     model, struct, _ = random_stable_model(rng, n=2)
     g = rng.normal(size=4) + 1j * rng.normal(size=4)

@@ -417,7 +417,39 @@ def test_generator_breaking_hermiticity_is_refused():
         Liouvillean(ops, 1j * scipy.sparse.identity(9, dtype=complex))
 
 
-@pytest.mark.parametrize("n, cutoff", [(1, 5), (2, 3)])
+def _dense_generator(model, cutoff):
+    """The generator of ``thirdq.oracle``'s docstring, term by term from dense ladders."""
+    a = dense_ladders(model.n, cutoff)
+    ad = [m.conj().T for m in a]
+    I = np.eye(cutoff**model.n)
+    f = np.zeros(model.n) if model.forces is None else model.forces
+    H = sum(
+        model.H[j, k] * ad[j] @ a[k]
+        + model.K[j, k] * a[j] @ a[k]
+        + np.conj(model.K[j, k]) * ad[j] @ ad[k]
+        for j in range(model.n)
+        for k in range(model.n)
+    ) + sum(f[j] * a[j] + np.conj(f[j]) * ad[j] for j in range(model.n))
+    L = -1j * (np.kron(I, H) - np.kron(H.T, I))
+    for ch in model.channels:
+        J = sum(ch.l[j] * a[j] + ch.k[j] * ad[j] for j in range(model.n)) + ch.offset * I
+        JdJ = J.conj().T @ J
+        L = L + 2 * np.kron(J.conj(), J) - np.kron(I, JdJ) - np.kron(JdJ.T, I)
+    return L
+
+
+@pytest.mark.parametrize("n, cutoff", [(1, 6), (2, 4), (3, 3)])
+def test_generator_matches_dense_lindblad_formula(rng, n, cutoff):
+    # squeezing, forces and channel offsets: every term of the generator
+    for _ in range(3):
+        model = _with_linear_terms(rng, random_model(rng, n=n))
+        assert np.abs(model.K).min() > 0
+        ref = _dense_generator(model, cutoff)
+        got = build_liouvillean_matrix(model, cutoff).L.toarray()
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n, cutoff", [(1, 5), (2, 3), (3, 2)])
 def test_readout_rows_are_dense_traces(rng, n, cutoff):
     # every row of R read against tr(A rho) of a random Hermitian rho
     lio = build_liouvillean_matrix(random_model(rng, n=n), cutoff)
