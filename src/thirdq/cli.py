@@ -526,6 +526,8 @@ def cmd_sweep(args) -> int:
     n = int(doc["n"])
     if args.steps < 1:
         raise SchemaError("--steps must be >= 1")
+    if not (math.isfinite(args.start) and math.isfinite(args.stop)):
+        raise SchemaError("--from and --to must be finite")
     grid = np.linspace(args.start, args.stop, args.steps)
 
     rows = []

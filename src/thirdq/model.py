@@ -89,6 +89,19 @@ class BosonicModel:
         )
 
 
+def _deviation(A: np.ndarray, B: np.ndarray, tol: float) -> tuple[float, bool]:
+    """|A - B|_F, and whether it exceeds ``tol * max(1, |A|_F)``.
+
+    Both norms are taken on the matrices divided by a power of two near
+    their largest real or imaginary part.  The division is exact, so the
+    verdict is that of the unscaled norms, but neither norm overflows when
+    the entries are near the float limit.
+    """
+    s = np.ldexp(1.0, np.frexp(np.abs(A.view(float)).max(initial=1.0))[1] - 1)
+    dev = np.linalg.norm(A / s - B / s)
+    return float(dev * s), bool(dev > tol * max(1.0 / s, np.linalg.norm(A / s)))
+
+
 @np.errstate(over="ignore", invalid="ignore")  # overflow is refused below
 def validate_model(
     n: int,
@@ -111,13 +124,13 @@ def validate_model(
     H = _as_complex_matrix(H, n, "H")
     K = _as_complex_matrix(K if K is not None else np.zeros((n, n)), n, "K")
 
-    dev_h = np.linalg.norm(H - H.conj().T)
-    if dev_h > tol_input * max(1.0, np.linalg.norm(H)):
+    dev_h, too_large = _deviation(H, H.conj().T, tol_input)
+    if too_large:
         raise HermiticityViolation(
             f"H deviates from Hermiticity by {dev_h:.3e} (tol {tol_input:.1e})"
         )
-    dev_k = np.linalg.norm(K - K.T)
-    if dev_k > tol_input * max(1.0, np.linalg.norm(K)):
+    dev_k, too_large = _deviation(K, K.T, tol_input)
+    if too_large:
         raise SymmetryViolation(
             f"K deviates from symmetry by {dev_k:.3e} (tol {tol_input:.1e})"
         )

@@ -8,9 +8,11 @@ array-at-a-time for all basis states at once.  One implicitly
 restarted Arnoldi call (ARPACK) per decoupled block of the generator finds
 its slowest eigenvalues; the block that holds the identity also returns
 Ritz vectors, and its zero mode is the steady state.  Only a block too
-narrow for ARPACK is solved dense.  Time evolution is the action of the
-matrix exponential on one vector.  Nothing here shares code with the
-analytic pipeline, so agreement between the two certifies both.
+narrow for ARPACK is solved dense.  Time evolution steps the real
+coordinates across the time grid with an error-controlled Krylov
+exponential (Sidje's Expokit ``expv``), landing on every grid time.
+Nothing here shares code with the analytic pipeline, so agreement between
+the two certifies both.
 
 Vectorization convention, fixed project-wide: column stacking, so that
 vec(A rho B) = (B^T (x) A) vec(rho).  The generator of
@@ -61,6 +63,8 @@ HERMITICITY_TOL = 1e-12  # max |Im M| relative to |L|_F
 ARNOLDI_NCV = 30  # Krylov basis per block; ARPACK's 2k + 1 restarts far more often
 ARNOLDI_TOL = 1e-12  # relative accuracy of each Ritz value
 ZERO_TOL = 1e-9  # |lambda| below which an eigenvalue is a steady-state mode
+KRYLOV_DIM = 30  # Arnoldi vectors per step of the trajectory
+KRYLOV_TOL = 1e-13  # error per unit time of the trajectory, relative to |x0|
 MEMCAP_ENV = "THIRDQ_MEMCAP"
 
 
@@ -448,16 +452,100 @@ def vacuum_state(lio: Liouvillean) -> np.ndarray:
     return rho
 
 
+def _round2(t: float) -> float:
+    """``t`` rounded up to two significant digits, as Expokit rounds its steps."""
+    if not 0 < t < np.inf:
+        return t
+    s = 10.0 ** (np.floor(np.log10(t)) - 1)
+    return float(np.ceil(t / s) * s)
+
+
+def _stalled(width: int, t: float, why: str) -> NumericalError:
+    return NumericalError(
+        f"Krylov exponential on a {width}-wide block of M stalled at t = {t:.6g}: {why}"
+    )
+
+
+def _krylov_evolve(B: sp.csr_matrix, x0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """exp(B t) x0 at every time of a non-decreasing grid, from t = 0.
+
+    Sidje's ``expv`` (Expokit, ACM TOMS 24:130, 1998) in real arithmetic.
+    Each step builds a ``KRYLOV_DIM``-dimensional Arnoldi basis of B from
+    the current vector w, with two classical Gram-Schmidt passes, and takes
+    the step and Expokit's local error estimate from the exponential of the
+    Hessenberg matrix augmented by two rows and columns.  The error per
+    unit time is held to ``tol = KRYLOV_TOL |x0|``: a step whose estimate
+    exceeds 1.2 step tol is retried shorter, and the next step follows
+    Expokit's rule (safety factor 0.9, two significant digits).  Steps are
+    clipped at each grid time, which is landed on exactly.  A subdiagonal
+    entry s with s |w| <= tol, a residual within that budget, ends the basis
+    at an invariant subspace, whose exponential then takes w to the next
+    grid time.  A step rejected more than 10 times or shorter than the
+    float spacing of t, or a state that is not finite, raises
+    :class:`NumericalError`.
+    """
+    width = B.shape[0]
+    m = min(KRYLOV_DIM, width)
+    anorm = float(abs(B).sum(axis=1).max())
+    tol = KRYLOV_TOL * np.linalg.norm(x0)
+    fact = ((m + 1) / np.e) ** (m + 1) * np.sqrt(2 * np.pi * (m + 1))  # Expokit's first step
+    t_new = _round2((fact * KRYLOV_TOL / (4 * anorm)) ** (1 / m) / anorm) if anorm else np.inf
+    xs, w, t_now = np.zeros((times.size, width)), x0, 0.0
+    for i, target in enumerate(times):
+        while t_now < target:
+            beta = np.linalg.norm(w)
+            V, H = np.zeros((m + 2, width)), np.zeros((m + 2, m + 2))  # V[m + 1] stays 0
+            V[0], H[m + 1, m], k = w / beta, 1.0, m + 2
+            for j in range(m):
+                p = B @ V[j]
+                for _ in range(2):
+                    c = V[: j + 1] @ p
+                    p -= c @ V[: j + 1]
+                    H[: j + 1, j] += c
+                s = np.linalg.norm(p)
+                if s * beta <= tol:  # happy breakdown: exponentiate H[:k, :k] alone
+                    k = j + 1
+                    break
+                H[j + 1, j], V[j + 1] = s, p / s
+            avnorm = np.linalg.norm(B @ V[m])
+            step = target - t_now if k <= m else min(target - t_now, t_new)
+            for rejects in range(12):
+                if rejects > 10 or not step >= np.spacing(t_now):
+                    raise _stalled(width, t_now, f"step {step:.3e} after {rejects} rejections")
+                with np.errstate(over="ignore"):  # a state that overflows is refused below
+                    F = scipy.linalg.expm(step * H[:k, :k])
+                err, xm = 0.0, 1 / m
+                if k > m:
+                    phi1, phi2 = abs(beta * F[m, 0]), abs(beta * F[m + 1, 0]) * avnorm
+                    err, xm = (phi1, 1 / max(m - 1, 1)) if phi1 <= phi2 else (phi2, 1 / m)
+                    if phi2 < phi1 <= 10 * phi2:
+                        err = phi1 * phi2 / (phi1 - phi2)
+                if err <= 1.2 * step * tol:
+                    break
+                step = _round2(0.9 * step * (step * tol / err) ** xm)
+            w = V[:k].T @ (beta * F[:k, 0])
+            if not np.isfinite(w).all():
+                raise _stalled(width, t_now, "the state is not finite")
+            if err > 0:
+                t_new = _round2(0.9 * step * (step * tol / err) ** xm)
+            t_now = target if step >= target - t_now else t_now + step
+        xs[i] = w
+    return xs
+
+
 def oracle_evolve(lio: Liouvillean, rho0: np.ndarray, times) -> OracleTrajectory:
     """Propagate vec(rho) = expm(L t) vec(rho0) on a uniform time grid.
 
-    One call of ``scipy.sparse.linalg.expm_multiply`` evolves the real
-    coordinates U† vec(rho0) across the whole grid under the part of ``M``
-    on the blocks that rho0 touches; the blocks do not couple, so every
-    other coordinate stays exactly zero.  One product with ``R`` reads the
+    The real coordinates U† vec(rho0) are evolved from t = 0 to every grid
+    time under the part of ``M`` on the blocks that rho0 touches, by an
+    error-controlled Krylov exponential (:func:`_krylov_evolve`); their
+    real and imaginary parts are evolved apart, the imaginary part only
+    when rho0 is not Hermitian.  The blocks do not couple, so every other
+    coordinate stays exactly zero.  One product with ``R`` reads the
     moments at every time.  A ``rho0`` of the wrong shape raises
-    :class:`DimensionMismatch`; a grid of fewer than two times, or whose
-    steps differ, raises :class:`InputError`.
+    :class:`DimensionMismatch`; a grid of fewer than two times, with a
+    non-finite time, a first time below zero, or steps that decrease or
+    differ, raises :class:`InputError`.
     Returns normal-ordered covariance matrices, first moments and the trace
     at every time.
     """
@@ -467,20 +555,25 @@ def oracle_evolve(lio: Liouvillean, rho0: np.ndarray, times) -> OracleTrajectory
         raise DimensionMismatch(f"rho0 must be {lio.dim}x{lio.dim}, got {rho0.shape}")
     if times.ndim != 1 or times.size < 2:
         raise InputError("oracle_evolve needs a grid of at least two times")
+    if not np.isfinite(times).all():
+        raise InputError("oracle_evolve needs finite times")
     steps = np.diff(times)
+    if times[0] < 0 or (steps < 0).any():
+        raise InputError("oracle_evolve needs non-decreasing times from t >= 0")
     if np.abs(steps - steps.mean()).max() > 1e-9 * max(1.0, np.abs(times).max()):
         raise InputError("oracle_evolve needs a uniform time grid")
     x0 = lio.U.conj().T @ rho0.ravel(order="F")
     touched = [idx for idx in lio.blocks if x0[idx].any()]
-    idx = np.sort(np.concatenate(touched or lio.blocks))
     xs = np.zeros((times.size, x0.size), dtype=complex)
-    xs[:, idx] = scipy.sparse.linalg.expm_multiply(
-        lio.M[idx][:, idx], x0[idx], start=times[0], stop=times[-1], num=times.size, endpoint=True
-    )
+    if touched:
+        idx = np.sort(np.concatenate(touched))
+        B = lio.M[idx][:, idx].tocsr()
+        for part, unit in ((x0[idx].real, 1.0), (x0[idx].imag, 1j)):
+            if part.any():
+                xs[:, idx] += unit * _krylov_evolve(B, part, times)
     pair_aa, pair_adad, normal_ad_a, mean_a, mean_ad, _, _, trace = _moments(
         lio.ops.n, (lio.R @ xs.T).T
     )
     cov = np.block([[pair_aa, normal_ad_a], [normal_ad_a.swapaxes(1, 2), pair_adad]])
     means = np.concatenate([mean_a, mean_ad], axis=1)
     return OracleTrajectory(times=times, cov=cov, means=means, trace=trace)
-

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+import thirdq.oracle
 from thirdq.cli import main, model_to_document
 
 from conftest import (
@@ -499,6 +500,20 @@ def test_arpack_non_convergence_is_a_numerical_error(tmp_path, capsys, monkeypat
     assert err == "error: ARPACK did not converge on a 450-wide block of M for k = 6\n"
 
 
+def test_krylov_stepper_without_tolerance_is_a_numerical_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(thirdq.oracle, "KRYLOV_TOL", 0.0)
+    path = write_model(tmp_path, sec4_document())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "verify", "--model", path, "--cutoff", "30")
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "error: Krylov exponential on a 450-wide block of M stalled at t = 0: "
+        "step 0.000e+00 after 0 rejections\n"
+    )
+
+
 @pytest.mark.parametrize(
     "document,flags",
     [
@@ -799,3 +814,35 @@ def test_overflowing_dynamics_prints_only_the_refusal(tmp_path, capsys):
         "warning: unstable rapidity spectrum; moments amplify without bound",
         "error: covariance overflows the float range on this grid",
     ]
+
+
+@pytest.mark.parametrize("flag", ["--from", "--to"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_sweep_non_finite_bound_is_refused(tmp_path, capsys, flag, value):
+    path = write_model(tmp_path, sec4_document())
+    bounds = {"--from": "0", "--to": "1"} | {flag: value}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # np.linspace would warn before the refusal
+        code, out, err = run_cli(
+            capsys, "sweep", "--model", path, "--param", "H.0.0.0",
+            *(f"{k}={v}" for k, v in bounds.items()), "--steps", "3",
+        )
+    assert code == 2
+    assert out == ""
+    assert err == "error: --from and --to must be finite\n"
+
+
+@pytest.mark.parametrize(
+    "field,message",
+    [("H", "H deviates from Hermiticity"), ("K", "K deviates from symmetry")],
+)
+def test_analyze_huge_antisymmetric_part_is_refused(tmp_path, capsys, field, message):
+    doc = two_mode_document()
+    doc[field] = [[[0.0, 0.0], [1e308, 0.0]], [[-1e308, 0.0], [0.0, 0.0]]]
+    path = write_model(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "analyze", "--model", path)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}")

@@ -42,6 +42,20 @@ def test_symmetry_violation_rejected():
         validate_model(2, np.eye(2), K, [])
 
 
+@pytest.mark.parametrize(
+    "H,K,error",
+    [
+        ([[0.0, 1e308], [-1e308, 0.0]], None, HermiticityViolation),
+        (np.eye(2), [[0.0, 1e308], [-1e308, 0.0]], SymmetryViolation),
+    ],
+    ids=["H", "K"],
+)
+def test_huge_antisymmetric_part_is_rejected_not_zeroed(H, K, error):
+    # |A - A^H|_F and |A|_F both overflow on the unscaled matrix
+    with pytest.raises(error):
+        validate_model(2, H, K, [])
+
+
 def test_dimension_mismatches():
     with pytest.raises(DimensionMismatch):
         validate_model(2, np.eye(3), None, [])

@@ -31,7 +31,8 @@ from thirdq import (
     vacuum_state,
     validate_model,
 )
-from thirdq.oracle import ARNOLDI_NCV, _slow_modes
+import thirdq.oracle
+from thirdq.oracle import ARNOLDI_NCV, KRYLOV_TOL, _krylov_evolve, _slow_modes
 
 from conftest import (
     closed_model,
@@ -409,6 +410,110 @@ def test_evolution_refuses_misshapen_initial_state():
     lio = build_liouvillean_matrix(sec4_model(), 6)
     with pytest.raises(DimensionMismatch):
         oracle_evolve(lio, np.eye(5) / 5, [0.0, 0.1])
+
+
+def _forced_model():
+    return validate_model(
+        1,
+        [[1.0]],
+        None,
+        [([1.0], [0.25], 0.1 - 0.05j), ([0.0], [np.sqrt(0.4375)])],
+        forces=np.array([0.2 + 0.1j]),
+    )
+
+
+def _random_state(rng, dim, hermitian=True):
+    A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho0 = A @ A.conj().T if hermitian else A
+    return rho0 / np.trace(rho0)
+
+
+@pytest.mark.parametrize(
+    "model,cutoff,state,times",
+    [
+        # |M|_1 about 190: many Krylov steps in every grid interval; by t = 20
+        # the state is near steady, where Expokit's absolute breakdown
+        # threshold (1e-7) would cut the Krylov basis short
+        (sec4_model(), 30, "vacuum", np.linspace(0.0, 20.0, 3)),
+        (two_mode_model(), 6, "vacuum", np.linspace(0.0, 4.0, 5)),
+        # forces and a channel offset: one block, odd moments nonzero
+        (_forced_model(), 8, "hermitian", np.linspace(0.0, 3.0, 7)),
+        # a non-Hermitian rho0 has imaginary coordinates, evolved apart
+        (_forced_model(), 8, "non-hermitian", np.linspace(0.0, 3.0, 7)),
+        # the first grid time is reached from t = 0
+        (sec4_model(), 8, "hermitian", np.linspace(2.0, 20.0, 7)),
+    ],
+    ids=["sec4-cutoff30", "two-mode-cutoff6", "forced", "non-hermitian", "from-t2"],
+)
+def test_krylov_stepper_matches_dense_exponential(rng, model, cutoff, state, times):
+    lio = build_liouvillean_matrix(model, cutoff)
+    if state == "vacuum":
+        rho0 = vacuum_state(lio)
+    else:
+        rho0 = _random_state(rng, lio.dim, hermitian=state == "hermitian")
+    traj = oracle_evolve(lio, rho0, times)
+    # dense expm of M on the blocks rho0 touches; M couples no two blocks
+    x0 = lio.U.conj().T @ rho0.ravel(order="F")
+    idx = np.concatenate([idx for idx in lio.blocks if x0[idx].any()])
+    B = lio.M[idx][:, idx].toarray()
+    a = dense_ladders(model.n, cutoff)
+    for i, t in enumerate(times):
+        x = np.zeros(x0.size, dtype=complex)
+        x[idx] = scipy.linalg.expm(B * t) @ x0[idx]
+        rho_t = (lio.U @ x).reshape((lio.dim, lio.dim), order="F")
+        means = [np.trace(m @ rho_t) for m in a + [m.conj().T for m in a]]
+        assert np.abs(traj.cov[i] - normal_covariance(a, rho_t)).max() <= 1e-12
+        assert np.abs(traj.means[i] - means).max() <= 1e-12
+        assert abs(traj.trace[i] - np.trace(rho_t)) <= 1e-12
+
+
+def test_krylov_stepper_holds_its_error_budget_near_the_steady_state():
+    # a breakdown threshold relative to |B| (KRYLOV_TOL |B|_inf) instead of to
+    # the error budget lets the error grow 100 times past it by t = 100
+    lio = build_liouvillean_matrix(sec4_model(), 30)
+    x0 = lio.U.conj().T @ vacuum_state(lio).ravel(order="F")
+    idx = next(idx for idx in lio.blocks if x0[idx].any())
+    B = lio.M[idx][:, idx]
+    times = np.array([0.0, 50.0, 100.0])
+    xs = _krylov_evolve(B.tocsr(), x0[idx].real, times)
+    for x, t in zip(xs, times):
+        ref = scipy.linalg.expm(B.toarray() * t) @ x0[idx].real
+        assert np.linalg.norm(x - ref) <= 1.2 * KRYLOV_TOL * t * np.linalg.norm(x0)
+
+
+@pytest.mark.parametrize(
+    "times",
+    [[1.0, 0.0], [-1.0, 0.0], [0.0, np.nan], [0.0, np.inf], [np.nan, np.nan]],
+    ids=["decreasing", "negative", "nan", "inf", "all-nan"],
+)
+def test_evolution_refuses_grid_it_cannot_evolve(times):
+    lio = build_liouvillean_matrix(sec4_model(), 8)
+    with pytest.raises(InputError):
+        oracle_evolve(lio, vacuum_state(lio), times)
+
+
+def test_evolution_on_constant_grid_holds_the_state():
+    lio = build_liouvillean_matrix(sec4_model(), 8)
+    rho0 = vacuum_state(lio)
+    constant = oracle_evolve(lio, rho0, [2.0, 2.0])
+    ramp = oracle_evolve(lio, rho0, [0.0, 2.0])
+    assert np.array_equal(constant.cov[0], constant.cov[1])
+    assert np.abs(constant.cov - ramp.cov[1]).max() <= 1e-12
+    assert np.abs(constant.trace - 1.0).max() <= 1e-12
+
+
+def test_evolution_to_an_overflowing_time_is_a_numerical_error():
+    # the state at t = 1e308 leaves the float range: refused, not returned
+    lio = build_liouvillean_matrix(sec4_model(), 8)
+    with pytest.raises(NumericalError, match="stalled at t = "):
+        oracle_evolve(lio, vacuum_state(lio), [0.0, 1e308])
+
+
+def test_krylov_stepper_without_tolerance_is_a_numerical_error(monkeypatch):
+    monkeypatch.setattr(thirdq.oracle, "KRYLOV_TOL", 0.0)
+    lio = build_liouvillean_matrix(sec4_model(), 8)
+    with pytest.raises(NumericalError, match="step 0.000e\\+00 after 0 rejections"):
+        oracle_evolve(lio, vacuum_state(lio), [0.0, 1.0])
 
 
 def test_generator_breaking_hermiticity_is_refused():
