@@ -56,11 +56,10 @@ from .lyapunov import (
     solve_schur,
 )
 from .ness import (
-    CovarianceTrajectory,
+    MomentTrajectory,
     NessSolution,
-    covariance_trajectory,
     mean_source,
-    mean_trajectory,
+    moment_trajectory,
     physical_correlators,
     steady_mean,
     wick_moment,

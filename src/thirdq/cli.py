@@ -18,9 +18,10 @@ produce byte-identical output:
 Exit codes:
 
     0  success (an Unstable verdict from analyze/sweep/dynamics is a result)
-    2  bad input: unreadable/schema-invalid model or initial-state file, bad
-       sweep path (or a path into n), bad time grid, meaningless tolerance,
-       verify cutoff below 2, THIRDQ_MEMCAP not an integer >= 1
+    2  bad input: unreadable/schema-invalid model or initial-state file,
+       initial moments that no state has, bad sweep path (or a path into n),
+       bad time grid, meaningless tolerance, verify cutoff below 2,
+       THIRDQ_MEMCAP not an integer >= 1
     3  numerical failure (e.g. X not diagonalizable, overflowing moments)
     4  stable spectrum required (ness/spectrum/verify on Marginal or Unstable)
     5  enumeration or oracle dimension caps, insufficient truncation
@@ -42,11 +43,12 @@ import numpy as np
 from . import __version__
 from .errors import (
     DimensionMismatch,
+    InputError,
     SchemaError,
     ThirdQError,
 )
 from .model import DEFAULT_TOL_INPUT, BosonicModel, LindbladChannel, validate_model
-from .model import _as_complex_matrix, _as_complex_vector
+from .model import _as_complex_matrix, _as_complex_vector, _deviation
 from .structure import build_structure
 from .spectral import (
     DEFAULT_TOL_MARGINAL,
@@ -57,12 +59,7 @@ from .spectral import (
     spectral_gap,
 )
 from .lyapunov import RESIDUAL_TOL, solve
-from .ness import (
-    covariance_trajectory,
-    mean_source,
-    mean_trajectory,
-    physical_correlators,
-)
+from .ness import mean_source, moment_trajectory, physical_correlators
 from .oracle import memcap_from_env
 from .verify import run_verification
 
@@ -410,9 +407,23 @@ def _load_initial(path: str, two_n: int):
         raise SchemaError("initial-state file must be an object with a C0 matrix")
     # the shape and finiteness checks of model matrices
     C0 = _as_complex_matrix(_from_pair_matrix(doc["C0"], "C0"), two_n, "C0")
-    if "m0" not in doc:
-        return C0, np.zeros(two_n, dtype=complex)
-    return C0, _as_complex_vector(_from_pair_vector(doc["m0"], "m0"), two_n, "m0")
+    m0 = (
+        _as_complex_vector(_from_pair_vector(doc["m0"], "m0"), two_n, "m0")
+        if "m0" in doc
+        else np.zeros(two_n, dtype=complex)
+    )
+    # every state has <a†> = conj(<a>), a Hermitian <a† a> and
+    # <a† a†> = conj(<a a>): the moments equal their conjugates with the
+    # a and a† halves swapped
+    swap = np.roll(np.arange(two_n), two_n // 2)
+    for name, A, B in (("C0", C0, C0[swap][:, swap].conj()), ("m0", m0, m0[swap].conj())):
+        dev, too_large = _deviation(A, B, 1e-8)
+        if too_large:
+            raise InputError(
+                f"{name} is not the moments of any state: it deviates from its "
+                f"conjugate with a and a† swapped by {dev:.3e}"
+            )
+    return C0, m0
 
 
 def cmd_dynamics(args) -> int:
@@ -442,19 +453,15 @@ def cmd_dynamics(args) -> int:
             "warning: unstable rapidity spectrum; moments amplify without bound\n"
         )
 
-    traj = covariance_trajectory(struct.X, struct.Y, C0, times)
+    g = mean_source(model) if model.has_linear_terms else None
+    traj = moment_trajectory(struct.X, struct.Y, g, C0, m0, times)
     with_means = model.has_linear_terms or bool(np.any(m0 != 0))
-    means = (
-        mean_trajectory(struct.X, mean_source(model), m0, times)
-        if with_means
-        else None
-    )
 
     rows, cols = np.triu_indices(n)  # the pairs j <= k, row by row
     header = ["t"] + [f"occ_{j + 1}" for j in range(n)]
     for j, k in zip(rows.tolist(), cols.tolist()):
         header += [f"re_aa_{j + 1}_{k + 1}", f"im_aa_{j + 1}_{k + 1}"]
-    if means is not None:
+    if with_means:
         for j in range(n):
             header += [f"re_mean_a_{j + 1}", f"im_mean_a_{j + 1}"]
     columns = [
@@ -462,8 +469,8 @@ def cmd_dynamics(args) -> int:
         traj.C[:, range(n), range(n, two_n)].real,
         _pairs(traj.C[:, rows, cols]).reshape(len(times), -1),
     ]
-    if means is not None:
-        columns.append(_pairs(means[:, :n]).reshape(len(times), -1))
+    if with_means:
+        columns.append(_pairs(traj.m[:, :n]).reshape(len(times), -1))
     _emit(_csv(header, _csv_lines(np.hstack(columns))), args.output)
     return 0
 

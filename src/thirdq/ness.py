@@ -19,9 +19,11 @@ source assembled from linear forces f and channel offsets lambda_mu:
     g = ( -i conj(f) + sum_mu (conj(lambda_mu) k_mu - lambda_mu conj(l_mu)),
            i f       + sum_mu (lambda_mu conj(k_mu) - conj(lambda_mu) l_mu) ).
 
-Both flows have exact step propagators for any X, stable or not, from block
-exponentials (Van Loan, IEEE Trans. Autom. Control 23:395, 1978).  Both rate
-constants are certified against the brute-force oracle in the test suite.
+Both flows relax under the same X, so one block exponential (Van Loan, IEEE
+Trans. Autom. Control 23:395, 1978) gives the exact step of both for any X,
+stable or not, and :func:`moment_trajectory` carries them together.  Both
+rate constants are certified against the brute-force oracle in the test
+suite.
 """
 
 from __future__ import annotations
@@ -55,9 +57,12 @@ class NessSolution:
 
 
 @dataclass(frozen=True)
-class CovarianceTrajectory:
+class MomentTrajectory:
+    """Covariances C (T, 2n, 2n) and first moments m (T, 2n) on a time grid."""
+
     times: np.ndarray
     C: np.ndarray
+    m: np.ndarray
 
 
 def physical_correlators(Z: np.ndarray, n: int, tol: float = 1e-8) -> NessSolution:
@@ -117,13 +122,15 @@ def _uniform_grid(times) -> tuple[np.ndarray, float]:
     return times, h
 
 
-def _covariance_step(X: np.ndarray, Y: np.ndarray, h: float):
-    """F = expm(-2 X h) and Q = 2 int_0^h F(s)^T Y F(s) ds: C(t+h) = F^T C F + Q.
+def _moment_step(X: np.ndarray, Y: np.ndarray, g: np.ndarray | None, h: float):
+    """One step of both flows: C(t+h) = F^T C F + Q and m(t+h) = F^T m + b.
 
-    expm(tau [[2 X^T, 2 Y], [0, -2 X]]) holds F(tau) lower right and
-    F(tau)^-T Q(tau) upper right at tau = h / 2^s, 2 |X|_1 tau <= 1/2; s
-    doublings then reach h without the growing expm(2 X^T h) that would
-    swamp Q at large h.
+    F = expm(-2 X h), Q = 2 int_0^h F(s)^T Y F(s) ds, b = int_0^h F(s)^T g ds.
+    expm(tau [[2 X^T, 2 Y, 0], [0, -2 X, 0], [0, g^T, 0]]) holds F(tau) in
+    the middle, F(tau)^-T Q(tau) above it and b(tau)^T below it at
+    tau = h / 2^s, 2 |X|_1 tau <= 1/2; s doublings then reach h without the
+    growing expm(2 X^T h) that would swamp Q at large h.  Without a source
+    the last row and column are left out and b = 0.
     """
     m = X.shape[0]
     norm = 4.0 * np.abs(X).sum(axis=0).max() * h
@@ -131,53 +138,69 @@ def _covariance_step(X: np.ndarray, Y: np.ndarray, h: float):
         raise NumericalError("covariance overflows the float range on this grid")
     s = int(np.ceil(np.log2(max(norm, 1.0))))  # at most 1024
     tau = np.ldexp(h, -s)  # h / 2^s without forming 2^s, no float at s = 1024
-    block = np.zeros((2 * m, 2 * m), dtype=complex)
+    size = 2 * m if g is None else 2 * m + 1
+    block = np.zeros((size, size), dtype=complex)
     block[:m, :m] = 2.0 * tau * X.T
-    block[:m, m:] = 2.0 * tau * Y
-    block[m:, m:] = -2.0 * tau * X
+    block[:m, m : 2 * m] = 2.0 * tau * Y
+    block[m : 2 * m, m : 2 * m] = -2.0 * tau * X
+    if g is not None:
+        block[2 * m, m : 2 * m] = tau * g
     E = scipy.linalg.expm(block)
-    F = E[m:, m:]
-    Q = F.T @ E[:m, m:]
+    F = E[m : 2 * m, m : 2 * m]
+    Q = F.T @ E[:m, m : 2 * m]
+    b = np.zeros(m, dtype=complex) if g is None else E[2 * m, m : 2 * m]
     for _ in range(s):
         Q = Q + F.T @ Q @ F
+        b = b + F.T @ b
         F = F @ F
-    return F, Q
+    return F, Q, b
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is refused below
-def covariance_trajectory(
+def moment_trajectory(
     X: np.ndarray,
     Y: np.ndarray,
+    g: np.ndarray | None,
     C0: np.ndarray,
+    m0: np.ndarray | None,
     times,
-) -> CovarianceTrajectory:
-    """Solve dC/dt = 2 (Y - X^T C - C X) from C(0) = C0 on a uniform grid.
+) -> MomentTrajectory:
+    """Solve dC/dt = 2 (Y - X^T C - C X) and dm/dt = -2 X^T m + g on a uniform grid.
 
-    Exact for any spectrum of X: one propagator step from 0 to the first
-    time, then one per grid interval.  A grid that is not non-negative,
-    ascending and uniform raises :class:`InputError`; moments that overflow
-    raise :class:`NumericalError`.
+    Starts from C(0) = C0 and m(0) = m0; ``g = None`` is no source and
+    ``m0 = None`` the zero mean.  Exact for any spectrum of X: one
+    propagator step from 0 to the first time, then one per grid interval.
+    A grid that is not non-negative, ascending and uniform raises
+    :class:`InputError`; moments that overflow raise :class:`NumericalError`,
+    the covariance checked first.
     """
     X = np.asarray(X, dtype=complex)
     Y = np.asarray(Y, dtype=complex)
     C0 = np.asarray(C0, dtype=complex)
+    g = None if g is None else np.asarray(g, dtype=complex)
+    m0 = np.zeros(len(X), dtype=complex) if m0 is None else np.asarray(m0, dtype=complex)
     times, h = _uniform_grid(times)
     dev = np.linalg.norm(C0 - C0.T)
     if dev > 1e-8 * max(1.0, np.linalg.norm(C0)):
         raise NonSymmetricInitial(f"C0 deviates from symmetry by {dev:.3e}")
     C0 = (C0 + C0.T) / 2
 
-    F, Q = _covariance_step(X, Y, float(times[0]))
-    C = F.T @ C0 @ F + Q
-    out = np.empty((times.size,) + C0.shape, dtype=complex)
-    out[0] = (C + C.T) / 2
-    F, Q = _covariance_step(X, Y, h)
+    F, Q, b = _moment_step(X, Y, g, float(times[0]))
+    C = np.empty((times.size,) + C0.shape, dtype=complex)
+    m = np.empty((times.size, m0.size), dtype=complex)
+    Ci = F.T @ C0 @ F + Q
+    C[0] = (Ci + Ci.T) / 2
+    m[0] = F.T @ m0 + b
+    F, Q, b = _moment_step(X, Y, g, h)
     for i in range(1, times.size):
-        C = F.T @ out[i - 1] @ F + Q
-        out[i] = (C + C.T) / 2
-    if not np.isfinite(out).all():
+        Ci = F.T @ C[i - 1] @ F + Q
+        C[i] = (Ci + Ci.T) / 2
+        m[i] = F.T @ m[i - 1] + b
+    if not np.isfinite(C).all():
         raise NumericalError("covariance overflows the float range on this grid")
-    return CovarianceTrajectory(times=times, C=out)
+    if not np.isfinite(m).all():
+        raise NumericalError("means overflow the float range on this grid")
+    return MomentTrajectory(times=times, C=C, m=m)
 
 
 def mean_source(model: BosonicModel) -> np.ndarray:
@@ -201,40 +224,3 @@ def steady_mean(X: np.ndarray, g: np.ndarray, spectrum: RapiditySpectrum) -> np.
     if spectrum.stability is not Stability.STABLE:
         raise NotStable("steady mean requires a Stable spectrum")
     return np.linalg.solve(2.0 * X.T, g)
-
-
-def _mean_step(X: np.ndarray, g: np.ndarray, h: float):
-    """F^T and b with m(t+h) = F^T m + b from expm(h [[-2 X^T, g], [0, 0]])."""
-    m = X.shape[0]
-    block = np.zeros((m + 1, m + 1), dtype=complex)
-    block[:m, :m] = -2.0 * h * X.T
-    block[:m, m] = h * g
-    E = scipy.linalg.expm(block)
-    return E[:m, :m], E[:m, m]
-
-
-@np.errstate(over="ignore", invalid="ignore")  # overflow is refused below
-def mean_trajectory(
-    X: np.ndarray,
-    g: np.ndarray | None,
-    m0: np.ndarray,
-    times,
-) -> np.ndarray:
-    """Solve dm/dt = -2 X^T m + g from m(0) = m0 on a uniform grid.
-
-    Exact for any spectrum of X, stepped like :func:`covariance_trajectory`.
-    """
-    X = np.asarray(X, dtype=complex)
-    m0 = np.asarray(m0, dtype=complex)
-    times, h = _uniform_grid(times)
-    g = np.zeros_like(m0) if g is None else np.asarray(g, dtype=complex)
-
-    Ft, b = _mean_step(X, g, float(times[0]))
-    out = np.empty((times.size, m0.size), dtype=complex)
-    out[0] = Ft @ m0 + b
-    Ft, b = _mean_step(X, g, h)
-    for i in range(1, times.size):
-        out[i] = Ft @ out[i - 1] + b
-    if not np.isfinite(out).all():
-        raise NumericalError("means overflow the float range on this grid")
-    return out

@@ -65,6 +65,7 @@ ARNOLDI_TOL = 1e-12  # relative accuracy of each Ritz value
 ZERO_TOL = 1e-9  # |lambda| below which an eigenvalue is a steady-state mode
 KRYLOV_DIM = 30  # Arnoldi vectors per step of the trajectory
 KRYLOV_TOL = 1e-13  # error per unit time of the trajectory, relative to |x0|
+TRACE_DRIFT_TOL = 1e-10  # max |tr rho(t) - tr rho0| of a trajectory, relative to |x0|
 MEMCAP_ENV = "THIRDQ_MEMCAP"
 
 
@@ -545,7 +546,11 @@ def oracle_evolve(lio: Liouvillean, rho0: np.ndarray, times) -> OracleTrajectory
     moments at every time.  A ``rho0`` of the wrong shape raises
     :class:`DimensionMismatch`; a grid of fewer than two times, with a
     non-finite time, a first time below zero, or steps that decrease or
-    differ, raises :class:`InputError`.
+    differ, raises :class:`InputError`.  A trace that drifts from tr rho0 by
+    more than ``TRACE_DRIFT_TOL`` times |x0| at any time raises
+    :class:`NumericalError`: once |lambda_0| t is not small, where lambda_0
+    is the rounding-sized eigenvalue of ``M`` nearest zero, the rounding in
+    ``M`` sets the state.
     Returns normal-ordered covariance matrices, first moments and the trace
     at every time.
     """
@@ -574,6 +579,13 @@ def oracle_evolve(lio: Liouvillean, rho0: np.ndarray, times) -> OracleTrajectory
     pair_aa, pair_adad, normal_ad_a, mean_a, mean_ad, _, _, trace = _moments(
         lio.ops.n, (lio.R @ xs.T).T
     )
+    drift = np.abs(trace - np.trace(rho0))
+    bad = np.flatnonzero(~(drift <= TRACE_DRIFT_TOL * np.linalg.norm(x0)))
+    if bad.size:
+        raise NumericalError(
+            f"oracle trajectory does not preserve the trace: |tr rho(t) - tr rho0| "
+            f"= {drift[bad[0]]:.3e} at t = {times[bad[0]]:.6g}"
+        )
     cov = np.block([[pair_aa, normal_ad_a], [normal_ad_a.swapaxes(1, 2), pair_adad]])
     means = np.concatenate([mean_a, mean_ad], axis=1)
     return OracleTrajectory(times=times, cov=cov, means=means, trace=trace)

@@ -16,9 +16,8 @@ import numpy as np
 from .lyapunov import solve
 from .model import BosonicModel
 from .ness import (
-    covariance_trajectory,
     mean_source,
-    mean_trajectory,
+    moment_trajectory,
     physical_correlators,
     steady_mean,
     wick_moment,
@@ -101,11 +100,8 @@ def run_verification(
     gap = spectral_gap(spectrum)
 
     linear = model.has_linear_terms
-    ma = (
-        steady_mean(struct.X, mean_source(model), spectrum)[:n]
-        if linear
-        else np.zeros(n, dtype=complex)
-    )
+    g = mean_source(model) if linear else None
+    ma = steady_mean(struct.X, g, spectrum)[:n] if linear else np.zeros(n, dtype=complex)
     if cutoff is None:
         cutoff = default_cutoff(
             corr.occupations, np.diag(corr.pair_aa), np.abs(ma) ** 2, tol_moments
@@ -145,19 +141,12 @@ def run_verification(
 
     t_end = min(10.0, 6.0 / gap)
     times = np.linspace(0.0, t_end, 21)
-    two_n = 2 * n
-    traj = covariance_trajectory(struct.X, struct.Y, np.zeros((two_n, two_n)), times)
+    traj = moment_trajectory(struct.X, struct.Y, g, np.zeros((2 * n, 2 * n)), None, times)
     otraj = oracle_evolve(lio, vacuum_state(lio), times)
-    if linear:
-        means = mean_trajectory(
-            struct.X, mean_source(model), np.zeros(two_n, dtype=complex), times
-        )
-        cov_ref = traj.C + np.einsum("ti,tj->tij", means, means)
-        mean_max = float(np.abs(means - otraj.means).max())
-    else:
-        cov_ref = traj.C
-        mean_max = None
+    # the oracle's covariance is raw: add m m^T (exactly 0 without a source)
+    cov_ref = traj.C + np.einsum("ti,tj->tij", traj.m, traj.m)
     trajectory_max = float(np.abs(cov_ref - otraj.cov).max())
+    mean_max = float(np.abs(traj.m - otraj.means).max()) if linear else None
 
     checks = [
         ("moments", float(moment_max), tol_moments),

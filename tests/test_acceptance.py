@@ -17,9 +17,8 @@ from thirdq import (
     build_liouvillean_matrix,
     build_structure,
     build_V,
-    covariance_trajectory,
     liouville_spectrum,
-    mean_trajectory,
+    moment_trajectory,
     oracle_evolve,
     oracle_spectrum,
     physical_correlators,
@@ -233,7 +232,7 @@ def test_criterion_6_dynamics_decay_slope(sec4_liouvillean):
 
     # first moments: Delta; no forces or offsets, so m* = 0
     m0 = np.array([1.0, 1.0], dtype=complex)
-    means = mean_trajectory(struct.X, None, m0, times)
+    means = moment_trajectory(struct.X, struct.Y, None, np.zeros((2, 2)), m0, times).m
     slope = fit_decay_slope(times, np.linalg.norm(means, axis=1))
     oracle = oracle_evolve(sec4_liouvillean, _coherent_state(sec4_liouvillean, 1.0), times)
     oracle_slope = fit_decay_slope(times, np.linalg.norm(oracle.means, axis=1))
@@ -241,7 +240,7 @@ def test_criterion_6_dynamics_decay_slope(sec4_liouvillean):
 
     # covariance: slowest two-excitation rate, 2 Delta
     Z = solve(struct.X, struct.Y, spectrum).Z
-    traj = covariance_trajectory(struct.X, struct.Y, np.zeros((2, 2)), times)
+    traj = moment_trajectory(struct.X, struct.Y, None, np.zeros((2, 2)), None, times)
     cov_slope = fit_decay_slope(times, [np.linalg.norm(C - Z) for C in traj.C])
     modes = liouville_spectrum(spectrum, 2)
     two_rate = min(-modes.lam.real[modes.m.sum(axis=1) == 2])
@@ -277,7 +276,7 @@ def test_criterion_6_dynamics_oracle_pointwise(sec4_liouvillean):
     model = sec4_model()
     struct = build_structure(model)
     times = np.linspace(0.0, 12.0, 25)
-    analytic = covariance_trajectory(struct.X, struct.Y, np.zeros((2, 2)), times)
+    analytic = moment_trajectory(struct.X, struct.Y, None, np.zeros((2, 2)), None, times)
     oracle = oracle_evolve(sec4_liouvillean, vacuum_state(sec4_liouvillean), times)
     delta = np.abs(analytic.C - oracle.cov).max()
     ok = delta <= 1e-5

@@ -11,7 +11,8 @@ import pytest
 import scipy.sparse.linalg
 
 import thirdq.oracle
-from thirdq.cli import main, model_to_document
+from thirdq import build_structure, mean_source, rapidities, steady_mean
+from thirdq.cli import document_to_model, main, model_to_document
 
 from conftest import (
     UNPARSABLE_JSON,
@@ -674,8 +675,8 @@ def test_dynamics_bad_grid_is_bad_input(tmp_path, capsys, flags):
         (("--t1", "nan"), (2, 2)),
         (("--t1", "inf"), (2, 2)),
         (("--t0", "nan", "--t1", "1"), (2, 2)),
-        # h = 5e307: the covariance relaxes; the forced mean leaves the float range
-        (("--t1", "1e308", "--steps", "3"), (0, 3)),
+        # h = 5e307: the covariance and the forced mean relax to their fixed points
+        (("--t1", "1e308", "--steps", "3"), (0, 0)),
         # h = 1.7e308: 4 |X|_1 h, the Van Loan scaling, is infinite
         (("--t1", "1.7e308", "--steps", "2"), (3, 3)),
     ],
@@ -695,9 +696,35 @@ def test_dynamics_non_finite_or_huge_grid_is_refused(tmp_path, capsys, flags, co
         assert len(rows) == 3
         assert np.isfinite(np.array(rows, dtype=float)).all()
         assert err == ""
+        if forced:
+            assert_steady_means(doc, rows[1:])
     else:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def assert_steady_means(doc, rows):
+    """The ``<a_j>`` columns of ``rows`` equal the fixed point of the mean flow."""
+    model = document_to_model(doc)
+    struct = build_structure(model)
+    mstar = steady_mean(struct.X, mean_source(model), rapidities(struct.X))[: model.n]
+    means = np.array(rows, dtype=float)[:, -2 * model.n :].view(complex)
+    assert np.abs(means - mstar).max() <= 1e-12 * np.abs(mstar).max()
+
+
+@pytest.mark.parametrize("t1", ["1e50", "1e100"])
+def test_forced_dynamics_at_long_steps_reaches_the_steady_mean(tmp_path, capsys, t1):
+    # one step of h = t1: the mean's Van Loan exponential is scaled and
+    # doubled back like the covariance's, so it neither overflows nor doubles
+    doc = sec4_document()
+    doc["forces"] = [[0.2, 0.1]]
+    path = write_model(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "dynamics", "--model", path, "--t1", t1, "--steps", "2")
+    assert (code, err) == (0, "")
+    _, rows = parse_csv(out)
+    assert_steady_means(doc, rows[1:])
 
 
 @pytest.mark.parametrize("command", ["analyze", "ness", "dynamics", "verify"])
@@ -799,6 +826,35 @@ def test_non_finite_initial_state_is_bad_input(tmp_path, capsys, initial, name):
     assert code == 2
     assert out == ""
     assert f"error: {name} contains non-finite entries" in err
+
+
+ZERO_C0 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+
+
+@pytest.mark.parametrize(
+    "initial, name",
+    [
+        # <a†> = 5 is not conj(<a>) = 1
+        ({"C0": ZERO_C0, "m0": [[1.0, 0.0], [5.0, 0.0]]}, "m0"),
+        # <a† a> = 0.5 + 0.3i is not real
+        ({"C0": [[[0.0, 0.0], [0.5, 0.3]], [[0.5, 0.3], [0.0, 0.0]]]}, "C0"),
+        # <a† a†> = 0.7 is not conj(<a a>) = 0.1
+        ({"C0": [[[0.1, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.7, 0.0]]]}, "C0"),
+    ],
+    ids=["m0-not-conjugate", "C0-complex-occupation", "C0-pairs-not-conjugate"],
+)
+def test_initial_moments_of_no_state_are_bad_input(tmp_path, capsys, initial, name):
+    path = write_model(tmp_path, sec4_document())
+    file = tmp_path / "initial.json"
+    file.write_text(json.dumps(initial))
+    code, out, err = run_cli(
+        capsys, "dynamics", "--model", path, "--t1", "1", "--steps", "3",
+        "--initial", str(file),
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {name} is not the moments of any state")
 
 
 def test_overflowing_dynamics_prints_only_the_refusal(tmp_path, capsys):

@@ -18,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 from thirdq import cli
 from thirdq.cli import document_to_model, main, model_to_document
 from thirdq.model import LindbladChannel, validate_model
-from thirdq.ness import covariance_trajectory, mean_source, mean_trajectory
+from thirdq.ness import mean_source, moment_trajectory
 from thirdq.spectral import liouville_spectrum, rapidities
 from thirdq.structure import build_structure
 
@@ -111,10 +111,10 @@ def _dynamics_reference(model, times):
     """The table ``dynamics`` writes from the vacuum, cell by cell."""
     struct = build_structure(model)
     n, two_n = model.n, 2 * model.n
-    C = covariance_trajectory(
-        struct.X, struct.Y, np.zeros((two_n, two_n), dtype=complex), times
-    ).C
-    means = mean_trajectory(struct.X, mean_source(model), np.zeros(two_n), times)
+    traj = moment_trajectory(
+        struct.X, struct.Y, mean_source(model), np.zeros((two_n, two_n)), None, times
+    )
+    C, means = traj.C, traj.m
     lines = []
     for i, t in enumerate(times):
         row = [cli._fmt(t)] + [cli._fmt(C[i, j, n + j].real) for j in range(n)]

@@ -15,9 +15,8 @@ from thirdq import (
     NotStable,
     NumericalError,
     build_structure,
-    covariance_trajectory,
     mean_source,
-    mean_trajectory,
+    moment_trajectory,
     physical_correlators,
     rapidities,
     solve,
@@ -96,7 +95,7 @@ def test_wick_index_validation():
 def test_fixed_point_is_stationary():
     struct, _, sol = _sec4_solution()
     times = np.linspace(0.0, 8.0, 9)
-    traj = covariance_trajectory(struct.X, struct.Y, sol.Z, times)
+    traj = moment_trajectory(struct.X, struct.Y, None, sol.Z, None, times)
     for C in traj.C:
         assert np.allclose(C, sol.Z, atol=1e-12, rtol=0)
 
@@ -105,7 +104,7 @@ def test_vacuum_relaxation_closed_form():
     # occupation from vacuum follows n_ss (1 - exp(-2 (u - v) t)) exactly
     struct, _, sol = _sec4_solution()
     times = np.linspace(0.0, 12.0, 25)
-    traj = covariance_trajectory(struct.X, struct.Y, np.zeros((2, 2)), times)
+    traj = moment_trajectory(struct.X, struct.Y, None, np.zeros((2, 2)), None, times)
     occ = traj.C[:, 0, 1].real
     assert np.allclose(occ, 1.0 - np.exp(-times), atol=1e-12, rtol=0)
 
@@ -115,7 +114,7 @@ def test_distance_to_fixed_point_decay_rate():
     # twice the one-excitation gap for this instance
     struct, sp, sol = _sec4_solution()
     times = np.linspace(2.0, 20.0, 19)
-    traj = covariance_trajectory(struct.X, struct.Y, np.zeros((2, 2)), times)
+    traj = moment_trajectory(struct.X, struct.Y, None, np.zeros((2, 2)), None, times)
     dist = np.array([np.linalg.norm(C - sol.Z) for C in traj.C])
     slope = fit_decay_slope(times, dist)
     gap = spectral_gap(sp)
@@ -127,7 +126,7 @@ def test_distance_to_fixed_point_decay_rate():
 def test_unstable_growth_is_unbounded():
     struct = build_structure(unstable_sec4_model())
     times = np.linspace(0.0, 10.0, 11)
-    traj = covariance_trajectory(struct.X, struct.Y, np.zeros((2, 2)), times)
+    traj = moment_trajectory(struct.X, struct.Y, None, np.zeros((2, 2)), None, times)
     norms = np.array([np.linalg.norm(C) for C in traj.C])
     assert np.all(np.diff(norms) > 0)
     assert norms[-1] > 50 * norms[1]
@@ -137,7 +136,7 @@ def test_closed_system_occupation_conserved():
     struct = build_structure(closed_model(omega=1.3))
     C0 = np.array([[0.0, 0.7], [0.7, 0.0]], dtype=complex)
     times = np.linspace(0.0, 20.0, 21)
-    traj = covariance_trajectory(struct.X, struct.Y, C0, times)
+    traj = moment_trajectory(struct.X, struct.Y, None, C0, None, times)
     occ = traj.C[:, 0, 1].real
     assert np.abs(occ - 0.7).max() <= 1e-7
     norms = [np.linalg.norm(C) for C in traj.C]
@@ -148,15 +147,16 @@ def test_initial_condition_validation():
     struct, _, _ = _sec4_solution()
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(NonSymmetricInitial):
-        covariance_trajectory(struct.X, struct.Y, bad, [0.0, 1.0])
+        moment_trajectory(struct.X, struct.Y, None, bad, None, [0.0, 1.0])
     with pytest.raises(InputError):
-        covariance_trajectory(struct.X, struct.Y, np.zeros((2, 2)), [1.0, 0.5])
+        moment_trajectory(struct.X, struct.Y, None, np.zeros((2, 2)), None, [1.0, 0.5])
 
 
 def test_homogeneous_mean_decay():
     struct, _, _ = _sec4_solution()
     times = np.linspace(0.0, 6.0, 13)
-    m = mean_trajectory(struct.X, None, np.array([1.0, 1.0], dtype=complex), times)
+    m0 = np.array([1.0, 1.0], dtype=complex)
+    m = moment_trajectory(struct.X, struct.Y, None, np.zeros((2, 2)), m0, times).m
     # |<a>(t)| = exp(-(u - v) t / 1) with the (0.5 + i) complex rate
     assert np.allclose(np.abs(m[:, 0]), np.exp(-0.5 * times), atol=1e-12, rtol=0)
     expected = np.exp(-(0.5 + 1.0j) * times)
@@ -176,7 +176,8 @@ def test_steady_mean_solves_linear_system(rng):
     mstar = steady_mean(struct.X, g, sp)
     assert np.allclose(2.0 * struct.X.T @ mstar, g, atol=1e-10)
     times = np.linspace(0.0, 30.0 / spectral_gap(sp), 8)
-    m = mean_trajectory(struct.X, g, np.zeros(2 * model.n, dtype=complex), times)
+    C0 = np.zeros((2 * model.n, 2 * model.n))
+    m = moment_trajectory(struct.X, struct.Y, g, C0, None, times).m
     assert np.allclose(m[-1], mstar, atol=1e-8)
 
 
@@ -241,8 +242,8 @@ def test_unstable_trajectories_match_closed_form(rng):
     m0 = rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)
     times = np.linspace(0.0, 10.0, 101)
     C_ref, m_ref = _closed_form(struct.X, struct.Y, g, C0, m0, times)
-    C = covariance_trajectory(struct.X, struct.Y, C0, times).C
-    m = mean_trajectory(struct.X, g, m0, times)
+    traj = moment_trajectory(struct.X, struct.Y, g, C0, m0, times)
+    C, m = traj.C, traj.m
     assert _rel(C, C_ref) <= 1e-12
     assert _rel(m, m_ref) <= 1e-12
 
@@ -257,8 +258,8 @@ def test_stable_trajectories_late_and_long(rng, grid):
     m0 = rng.normal(size=6) + 1j * rng.normal(size=6)
     times = np.linspace(*grid)
     C_ref, m_ref = _closed_form(struct.X, struct.Y, g, C0, m0, times)
-    C = covariance_trajectory(struct.X, struct.Y, C0, times).C
-    m = mean_trajectory(struct.X, g, m0, times)
+    traj = moment_trajectory(struct.X, struct.Y, g, C0, m0, times)
+    C, m = traj.C, traj.m
     assert np.all(np.isfinite(C)) and np.all(np.isfinite(m))
     assert _rel(C, C_ref) <= 1e-12
     assert _rel(m, m_ref) <= 1e-12
@@ -268,9 +269,7 @@ def test_non_uniform_grid_is_bad_input():
     struct, _, _ = _sec4_solution()
     times = [0.0, 1.0, 3.0]
     with pytest.raises(InputError):
-        covariance_trajectory(struct.X, struct.Y, np.zeros((2, 2)), times)
-    with pytest.raises(InputError):
-        mean_trajectory(struct.X, None, np.ones(2, dtype=complex), times)
+        moment_trajectory(struct.X, struct.Y, None, np.zeros((2, 2)), np.ones(2), times)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -278,31 +277,31 @@ def test_non_finite_grid_is_bad_input(bad):
     struct, _, _ = _sec4_solution()
     times = [0.0, bad]
     with pytest.raises(InputError):
-        covariance_trajectory(struct.X, struct.Y, np.zeros((2, 2)), times)
-    with pytest.raises(InputError):
-        mean_trajectory(struct.X, None, np.ones(2, dtype=complex), times)
+        moment_trajectory(struct.X, struct.Y, None, np.zeros((2, 2)), np.ones(2), times)
 
 
 def test_mean_single_late_time(rng):
     model, struct, _ = random_stable_model(rng, n=2)
     g = rng.normal(size=4) + 1j * rng.normal(size=4)
     m0 = rng.normal(size=4) + 1j * rng.normal(size=4)
-    m = mean_trajectory(struct.X, g, m0, [2.5])
+    m = moment_trajectory(struct.X, struct.Y, g, np.zeros((4, 4)), m0, [2.5]).m
     _, m_ref = _closed_form(struct.X, struct.Y, g, np.zeros((4, 4)), m0, [2.5])
     assert m.shape == (1, 4)
     assert _rel(m, m_ref) <= 1e-12
 
 
 def test_overflowing_moments_are_refused():
-    # C grows like e^t and m like e^(t/2): both leave the float range by t = 2000
+    # C grows like e^t and m like e^(t/2): both leave the float range by
+    # t = 2000, and the covariance is named first; a mean of 1e300 leaves it
+    # by t = 40, where C is still near e^40
     struct = build_structure(unstable_sec4_model())
-    times = np.linspace(0.0, 2000.0, 3)
+    C0 = np.zeros((2, 2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the refusal is the only message
-        with pytest.raises(NumericalError):
-            covariance_trajectory(struct.X, struct.Y, np.zeros((2, 2)), times)
-        with pytest.raises(NumericalError):
-            mean_trajectory(struct.X, None, np.ones(2, dtype=complex), times)
+        with pytest.raises(NumericalError, match="^covariance overflows"):
+            moment_trajectory(struct.X, struct.Y, None, C0, np.ones(2), [0.0, 1000.0, 2000.0])
+        with pytest.raises(NumericalError, match="^means overflow"):
+            moment_trajectory(struct.X, struct.Y, None, C0, np.full(2, 1e300), [0.0, 40.0])
 
 
 def test_dynamics_at_exceptional_point_of_order_five(tmp_path, capsys, rng):
@@ -321,8 +320,13 @@ def test_dynamics_at_exceptional_point_of_order_five(tmp_path, capsys, rng):
     with pytest.raises(DefectiveX):
         rapidities(struct.X)
 
-    C0 = _random_symmetric(rng, 2 * n)
-    m0 = rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)
+    # moments a state can have: <a† a> Hermitian, <a† a†> = conj(<a a>)
+    A = _random_symmetric(rng, n)
+    B = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    N = (B + B.conj().T) / 2
+    C0 = np.block([[A, N], [N.T, A.conj()]])
+    a = rng.normal(size=n) + 1j * rng.normal(size=n)
+    m0 = np.concatenate([a, a.conj()])
 
     def pairs(v):
         return [[float(z.real), float(z.imag)] for z in v]

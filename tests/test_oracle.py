@@ -18,9 +18,8 @@ from thirdq import (
     build_fock_operators,
     build_liouvillean_matrix,
     build_structure,
-    covariance_trajectory,
     mean_source,
-    mean_trajectory,
+    moment_trajectory,
     oracle_evolve,
     oracle_spectrum,
     oracle_steady_state,
@@ -172,7 +171,7 @@ def test_evolution_matches_analytic_covariance():
     lio = build_liouvillean_matrix(model, 30)
     times = np.linspace(0.0, 10.0, 21)
     otraj = oracle_evolve(lio, vacuum_state(lio), times)
-    atraj = covariance_trajectory(struct.X, struct.Y, np.zeros((2, 2)), times)
+    atraj = moment_trajectory(struct.X, struct.Y, None, np.zeros((2, 2)), None, times)
     assert np.abs(otraj.cov - atraj.C).max() <= 1e-5
 
 
@@ -226,7 +225,7 @@ def test_mean_dynamics_validated_against_oracle():
     times = np.linspace(0.0, 12.0, 13)
     lio = build_liouvillean_matrix(model, 30)
     otraj = oracle_evolve(lio, vacuum_state(lio), times)
-    m = mean_trajectory(struct.X, g, np.zeros(2, dtype=complex), times)
+    m = moment_trajectory(struct.X, struct.Y, g, np.zeros((2, 2)), None, times).m
     assert np.abs(m - otraj.means).max() <= 1e-6
     # steady displacement against the brute-force steady state
     sp = rapidities(struct.X)
@@ -507,6 +506,15 @@ def test_evolution_to_an_overflowing_time_is_a_numerical_error():
     lio = build_liouvillean_matrix(sec4_model(), 8)
     with pytest.raises(NumericalError, match="stalled at t = "):
         oracle_evolve(lio, vacuum_state(lio), [0.0, 1e308])
+
+
+@pytest.mark.parametrize("cutoff,t_end", [(8, 1e15), (30, 1e20)])
+def test_evolution_that_loses_the_trace_is_a_numerical_error(cutoff, t_end):
+    # M's eigenvalue nearest zero is rounding-sized (1e-15 to 1e-13), not 0:
+    # by these times it has moved the trace to 1.2 (cutoff 8) and 0 (cutoff 30)
+    lio = build_liouvillean_matrix(sec4_model(), cutoff)
+    with pytest.raises(NumericalError, match="does not preserve the trace"):
+        oracle_evolve(lio, vacuum_state(lio), [0.0, t_end])
 
 
 def test_krylov_stepper_without_tolerance_is_a_numerical_error(monkeypatch):
