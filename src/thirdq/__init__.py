@@ -45,6 +45,7 @@ from .spectral import (
     classify_stability,
     liouville_spectrum,
     rapidities,
+    require_diagonalizable,
     spectral_gap,
 )
 from .lyapunov import (

@@ -49,13 +49,14 @@ from .errors import (
 )
 from .model import DEFAULT_TOL_INPUT, BosonicModel, LindbladChannel, validate_model
 from .model import _as_complex_matrix, _as_complex_vector, _deviation
-from .structure import build_structure
+from .structure import build_structure, realify
 from .spectral import (
     DEFAULT_TOL_MARGINAL,
     Stability,
     classify_stability,
     liouville_spectrum,
     rapidities,
+    require_diagonalizable,
     spectral_gap,
 )
 from .lyapunov import RESIDUAL_TOL, solve
@@ -187,19 +188,26 @@ def _json(value, level: int = 0) -> str:
     return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * level + brackets[1]
 
 
+# json spells these three floats differently from repr
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _json_array(arr: np.ndarray, level: int) -> str:
     if arr.size == 0:
         return _json(arr.tolist(), level)
-    # json.dumps spells NaN, Infinity and -Infinity; repr is the same elsewhere
-    spell = repr if np.isfinite(arr).all() else json.dumps
-    texts = map(spell, arr.ravel().tolist())
-    # group the innermost axis first, each at the indent of its depth
+    # each distinct bit pattern is spelled once, so 0.0 and -0.0 stay apart
+    bits, where = np.unique(
+        np.ascontiguousarray(arr, dtype=float).ravel().view(np.int64), return_inverse=True
+    )
+    spelled = [_JSON_NON_FINITE.get(t, t) for t in map(repr, bits.view(float).tolist())]
+    # one template for the whole nest, innermost axis first, each level at
+    # the indent of its depth
+    template = "%s"
     for axis in range(arr.ndim - 1, -1, -1):
-        size = arr.shape[axis]
         pad = "\n" + "  " * (level + axis + 1)
-        group = "[" + pad + ("," + pad).join(["%s"] * size) + "\n" + "  " * (level + axis) + "]"
-        texts = map(group.__mod__, zip(*[iter(texts)] * size))
-    return next(texts)
+        body = ("," + pad).join([template] * arr.shape[axis])
+        template = "[" + pad + body + "\n" + "  " * (level + axis) + "]"
+    return template % tuple(np.array(spelled, dtype=object)[where].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +342,7 @@ def cmd_analyze(args) -> int:
     model, model_hash = _load_model(args)
     struct = build_structure(model)
     spectrum = rapidities(struct.X, args.tol_marginal)
+    require_diagonalizable(spectrum.cond_P)
     stable = spectrum.stability is Stability.STABLE
     trace_resid = abs(np.trace(struct.X) - struct.S0) / max(1.0, abs(struct.S0))
     results = {
@@ -388,6 +397,7 @@ def cmd_spectrum(args) -> int:
     model, _ = _load_model(args)
     struct = build_structure(model)
     spectrum = rapidities(struct.X, args.tol_marginal)
+    require_diagonalizable(spectrum.cond_P)
     modes = liouville_spectrum(spectrum, args.max_excitation)
     two_n = 2 * model.n
     header = [f"m_{i + 1}" for i in range(two_n)] + ["re_lambda", "im_lambda"]
@@ -423,6 +433,17 @@ def _load_initial(path: str, two_n: int):
                 f"{name} is not the moments of any state: it deviates from its "
                 f"conjugate with a and a† swapped by {dev:.3e}"
             )
+    # C0 holds the centred <:b_r b_s:>, so the Gram matrix <b_i† b_j> of the
+    # centred b = (a, a†) is C0 with its rows' halves swapped plus the
+    # commutator <[a_j, a†_j]> = 1 in the a a† block; a state's is positive
+    # semidefinite
+    gram = C0[swap] + np.diag(np.repeat([0.0, 1.0], two_n // 2))
+    low = np.linalg.eigvalsh((gram + gram.conj().T) / 2)[0]
+    if low < -1e-8 * max(1.0, np.linalg.norm(C0)):
+        raise InputError(
+            "C0 is not the moments of any state: the matrix <b_i† b_j> of its "
+            f"centred moments has the negative eigenvalue {low:.3e}"
+        )
     return C0, m0
 
 
@@ -447,7 +468,9 @@ def cmd_dynamics(args) -> int:
 
     # eigenvalues only: the propagator needs no eigenbasis, so a defective X
     # is no reason to refuse
-    stability = classify_stability(np.linalg.eigvals(struct.X), args.tol_marginal)
+    stability = classify_stability(
+        np.linalg.eigvals(realify(struct.X)), args.tol_marginal
+    )
     if stability is Stability.UNSTABLE:
         sys.stderr.write(
             "warning: unstable rapidity spectrum; moments amplify without bound\n"
@@ -544,6 +567,7 @@ def cmd_sweep(args) -> int:
         model = document_to_model(doc, tol_input=args.tol)
         struct = build_structure(model)
         spectrum = rapidities(struct.X, args.tol_marginal)
+        require_diagonalizable(spectrum.cond_P)
         stable = spectrum.stability is Stability.STABLE
         row = [
             _fmt(value),

@@ -40,6 +40,10 @@ class IndexOutOfRange(InputError):
     pass
 
 
+class NonSymmetricInitial(InputError):
+    pass
+
+
 class NumericalError(ThirdQError):
     exit_code = 3
 
@@ -61,10 +65,6 @@ class SymplecticityViolation(NumericalError):
 
 
 class AsymmetricZ(NumericalError):
-    pass
-
-
-class NonSymmetricInitial(NumericalError):
     pass
 
 

@@ -27,7 +27,7 @@ from .errors import (
     NotStable,
     SymplecticityViolation,
 )
-from .structure import StructureMatrices
+from .structure import StructureMatrices, realify
 
 DEFAULT_TOL_MARGINAL = 1e-10
 COND_DEFECTIVE = 1e12
@@ -90,29 +90,55 @@ def classify_stability(beta, tol_marginal: float = DEFAULT_TOL_MARGINAL) -> Stab
 
 
 def rapidities(X: np.ndarray, tol_marginal: float = DEFAULT_TOL_MARGINAL) -> RapiditySpectrum:
-    """Diagonalize X and classify the spectrum.
+    """Diagonalize X through its real form and classify the spectrum.
 
-    Eigenvalues are sorted by (Re ascending, Im ascending) so reports are
-    reproducible; the eigenvector columns are permuted to match.  A condition
-    number of P above 1e12 is treated as non-diagonalizable.
+    Real LAPACK ``eig`` of X_r = U X U^-1 (:func:`~thirdq.structure.realify`)
+    returns each conjugate pair exactly: equal real parts, opposite
+    imaginary parts.  Sorting by (Re ascending, Im ascending) so reports are
+    reproducible therefore fixes the order within each pair; two different
+    pairs whose real parts tie to rounding can still come in either order.
+    The eigenvector columns are permuted to match and mapped back
+    elementwise, P = U^-1 P_r.  ``cond_P`` is the 2-norm condition number of
+    the real matrix of the real eigenvectors and of sqrt(2) Re v, sqrt(2) Im v
+    for the member v of each pair with Im beta > 0, which P equals up to
+    unitary factors.  At an exceptional point it may be ``inf``; stages that
+    need the eigenbasis refuse through :func:`require_diagonalizable`.
     """
-    X = np.asarray(X, dtype=complex)
-    beta, P = np.linalg.eig(X)
+    beta, P_r = np.linalg.eig(realify(X))
+    upper = beta.imag > 0
+    basis = np.hstack(
+        [
+            P_r[:, beta.imag == 0].real,
+            np.sqrt(2.0) * P_r[:, upper].real,
+            np.sqrt(2.0) * P_r[:, upper].imag,
+        ]
+    )
     order = np.lexsort((beta.imag, beta.real))
-    beta = beta[order]
-    P = P[:, order]
-    cond_P = float(np.linalg.cond(P))
-    if not np.isfinite(cond_P) or cond_P > COND_DEFECTIVE:
-        raise DefectiveX(
-            f"X not diagonalizable within tolerance (cond(P) = {cond_P:.3e})"
-        )
+    beta = beta[order].astype(complex)
+    P_r = P_r[:, order]
+    n = len(P_r) // 2
+    top, bottom = P_r[:n], P_r[n:]
+    P = np.sqrt(0.5) * np.vstack([top - 1j * bottom, bottom - 1j * top])
     return RapiditySpectrum(
         beta=beta,
         P=P,
-        cond_P=cond_P,
+        cond_P=float(np.linalg.cond(basis)),
         stability=classify_stability(beta, tol_marginal),
         tol_marginal=tol_marginal,
     )
+
+
+def require_diagonalizable(cond_P: float) -> None:
+    """Refuse an eigenvector matrix P with cond(P) above ``COND_DEFECTIVE``.
+
+    The stages that print or invert the eigenbasis (``analyze``,
+    ``spectrum``, ``sweep`` and :func:`build_V`) call this; the Lyapunov
+    solve and the moment dynamics do not need the eigenbasis.
+    """
+    if not cond_P <= COND_DEFECTIVE:
+        raise DefectiveX(
+            f"X not diagonalizable within tolerance (cond(P) = {cond_P:.3e})"
+        )
 
 
 def spectral_gap(spectrum: RapiditySpectrum) -> float:
@@ -202,10 +228,12 @@ def build_V(
     structure matrices and rapidities are supplied, the block matrix
     J S = [[-X^T, Y], [0, X]] is additionally checked to be similar to
     (-Delta) (+) Delta under V; failure of either check flags an inconsistent
-    (X, Z) pair.
+    (X, Z) pair.  A P with cond(P) above ``COND_DEFECTIVE`` is refused first
+    (:func:`require_diagonalizable`).
     """
     P = np.asarray(P, dtype=complex)
     Z = np.asarray(Z, dtype=complex)
+    require_diagonalizable(float(np.linalg.cond(P)))
     two_n = P.shape[0]
     Pinv = np.linalg.inv(P)
     V = np.zeros((2 * two_n, 2 * two_n), dtype=complex)

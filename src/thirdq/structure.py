@@ -69,31 +69,40 @@ def build_structure(model: BosonicModel) -> StructureMatrices:
     return StructureMatrices(X=X, Y=Y, S0=S0)
 
 
-def _u_matrix(n: int) -> np.ndarray:
-    # (1/sqrt 2)(I_2 + i sigma_x) acting on the 2-block structure
-    u2 = np.array([[1.0, 1j], [1j, 1.0]]) / np.sqrt(2.0)
-    return np.kron(u2, np.eye(n))
-
-
 def realify(A: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Return the real matrix U A U^-1 with U = (I + i sigma_x)/sqrt(2) (x) I.
 
     Valid only for matrices with the conjugate block pattern
     [[A11, A12], [conj(A12), conj(A11)]] that X and Y carry by construction;
     anything else leaves an imaginary remainder and raises
-    :class:`NotRealSimilar`.  This is a construction diagnostic, not part of
-    the solve pipeline.
+    :class:`NotRealSimilar`.  That remainder, |Im(U A U^-1)|_F, equals
+    |A - S conj(A) S|_F / 2 with S = sigma_x (x) I, and the real part is read
+    off the blocks of the nearest patterned matrix, A = (A11 + conj(A22))/2
+    and B = (A12 + conj(A21))/2, as
+
+        [[Re A + Im B, Re B + Im A], [Re B - Im A, Re A - Im B]],
+
+    with no product with U, so a patterned input maps exactly.
+    :func:`thirdq.spectral.rapidities` diagonalizes X in this real form.
     """
     A = np.asarray(A, dtype=complex)
     m = A.shape[0]
     if A.shape != (m, m) or m % 2 != 0:
         raise NotRealSimilar(f"expected an even-dimensional square matrix, got {A.shape}")
-    U = _u_matrix(m // 2)
-    R = U @ A @ U.conj().T
-    rem = np.linalg.norm(R.imag)
+    n = m // 2
+    lower = A[n:, [*range(n, m), *range(n)]].conj()  # [conj(A22), conj(A21)]
+    upper = A[:n]  # [A11, A12]
+    rem = np.linalg.norm(upper - lower) / np.sqrt(2.0)
     if rem > tol * max(1.0, np.linalg.norm(A)):
         raise NotRealSimilar(
             f"imaginary remainder {rem:.3e} exceeds tolerance; "
             "matrix does not have the conjugate block structure"
         )
-    return R.real
+    top = (upper + lower) / 2  # [A, B] of the nearest patterned matrix
+    a, b = top[:, :n], top[:, n:]
+    R = np.empty((m, m))
+    R[:n, :n] = a.real + b.imag
+    R[:n, n:] = b.real + a.imag
+    R[n:, :n] = b.real - a.imag
+    R[n:, n:] = a.real - b.imag
+    return R

@@ -22,6 +22,20 @@ SEC4_CHANNELS = [
 ]
 
 
+def from_real_form(R) -> np.ndarray:
+    """The complex X = U^-1 R U whose real form (``thirdq.realify``) is the real R.
+
+    U = (I + i sigma_x)/sqrt(2) (x) I; every X of a model has this form.
+    """
+    R = np.asarray(R, dtype=float)
+    U = np.kron(np.array([[1.0, 1j], [1j, 1.0]]) / np.sqrt(2.0), np.eye(len(R) // 2))
+    return U.conj().T @ R @ U
+
+
+# Jordan-like real block split by 1e-10: eigenvectors nearly collinear
+NEAR_DEFECTIVE_R = [[1.0, 1.0], [0.0, 1.0 + 1e-10]]
+
+
 def sec4_model() -> BosonicModel:
     return validate_model(1, [[1.0]], [[0.0]], SEC4_CHANNELS)
 
@@ -70,6 +84,24 @@ def two_mode_document() -> dict:
     from thirdq.cli import model_to_document
 
     return model_to_document(m)
+
+
+def dense_chain_model(rng, n) -> BosonicModel:
+    """A stable hopping chain with local loss, gain at 20-50% of the loss and
+    weak squeezing, written in a random passive mode basis so that X is dense."""
+    H = np.diag(rng.uniform(0.8, 1.2, n))
+    H += np.diag(rng.uniform(0.2, 0.4, n - 1), 1)
+    H = np.triu(H) + np.triu(H, 1).T
+    kappa = rng.uniform(0.01, 0.03, n)
+    K = np.diag(kappa) + np.diag(kappa[:-1] / 2, 1) + np.diag(kappa[:-1] / 2, -1)
+    loss = rng.uniform(0.8, 1.2, n)
+    gain = loss * rng.uniform(0.2, 0.5, n)
+    Q, R = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    U = Q * (np.diag(R) / np.abs(np.diag(R)))
+    eye, zero = np.eye(n), np.zeros(n)
+    channels = [(U.T @ (np.sqrt(loss[j]) * eye[j]), zero) for j in range(n)]
+    channels += [(zero, U.conj().T @ (np.sqrt(gain[j]) * eye[j])) for j in range(n)]
+    return validate_model(n, U.conj().T @ H @ U, U.T @ K @ U, channels)
 
 
 def random_model(rng, n=None, max_channels=4, gain_scale=0.35, squeeze_scale=0.15):

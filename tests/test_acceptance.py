@@ -34,7 +34,9 @@ from thirdq.verify import run_verification
 from thirdq.errors import IllConditioned
 
 from conftest import (
+    NEAR_DEFECTIVE_R,
     fit_decay_slope,
+    from_real_form,
     multiset_max_delta,
     random_stable_model,
     sec4_document,
@@ -354,7 +356,7 @@ def test_criterion_9_method_cross_check(suite):
         scale = max(1.0, np.linalg.norm(eb.Z))
         worst = max(worst, np.linalg.norm(eb.Z - bs.Z) / scale)
 
-    X = np.array([[1.0, 1.0], [0.0, 1.0 + 1e-10]], dtype=complex)
+    X = from_real_form(NEAR_DEFECTIVE_R)
     Y = np.array([[0.8, 0.3], [0.3, 1.2]], dtype=complex)
     near_defective = rapidities(X)
     with pytest.raises(IllConditioned):

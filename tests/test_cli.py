@@ -11,11 +11,12 @@ import pytest
 import scipy.sparse.linalg
 
 import thirdq.oracle
-from thirdq import build_structure, mean_source, rapidities, steady_mean
+from thirdq import build_structure, mean_source, rapidities, steady_mean, validate_model
 from thirdq.cli import document_to_model, main, model_to_document
 
 from conftest import (
     UNPARSABLE_JSON,
+    dense_chain_model,
     load_schema,
     sec4_document,
     two_mode_document,
@@ -538,6 +539,44 @@ def test_verify_report_does_not_depend_on_blas_threads(tmp_path, document, flags
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize(
+    "argv", [("analyze",), ("spectrum", "-M", "2")], ids=["analyze", "spectrum"]
+)
+def test_rapidity_reports_do_not_depend_on_blas_threads(tmp_path, argv):
+    # at n = 50 the two members of a conjugate pair of a complex eig differ
+    # in their last bits, and with them which of the two is sorted first
+    model = dense_chain_model(np.random.default_rng(1), 50)
+    path = write_model(tmp_path, model_to_document(model))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        out = subprocess.run(
+            [sys.executable, "-m", "thirdq.cli", argv[0], "--model", path, *argv[1:]],
+            env=env, capture_output=True, check=True,
+        )
+        reports.append(out.stdout)
+    assert reports[0] == reports[1]
+
+
+def test_exceptional_point_is_refused_where_the_eigenbasis_is_printed(tmp_path, capsys):
+    # squeezing at 2|K| = omega merges the two rapidities at beta = 1/2 into
+    # one Jordan block, exactly so in the real form: analyze and spectrum
+    # refuse, while ness solves on the Schur route and dynamics runs
+    model = validate_model(1, [[1.0]], [[0.5]], [([1.0], [0.0])])
+    path = write_model(tmp_path, model_to_document(model))
+    for argv in (("analyze",), ("spectrum", "-M", "1")):
+        code, out, err = run_cli(capsys, argv[0], "--model", path, *argv[1:])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: X not diagonalizable within tolerance (cond(P) = ")
+    code, out, _ = run_cli(capsys, "ness", "--model", path)
+    assert code == 0
+    assert json.loads(out)["results"]["method"] == "SchurBartelsStewart"
+    assert run_cli(capsys, "dynamics", "--model", path, "--t1", "1")[0] == 0
+
+
 def test_published_schemas_match_packaged_copies():
     # /schemas holds the published documents; the package reads its own copies
     import pathlib
@@ -840,8 +879,18 @@ ZERO_C0 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
         ({"C0": [[[0.0, 0.0], [0.5, 0.3]], [[0.5, 0.3], [0.0, 0.0]]]}, "C0"),
         # <a† a†> = 0.7 is not conj(<a a>) = 0.1
         ({"C0": [[[0.1, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.7, 0.0]]]}, "C0"),
+        # <a† a> = -0.5 is a negative occupation
+        ({"C0": [[[0.0, 0.0], [-0.5, 0.0]], [[-0.5, 0.0], [0.0, 0.0]]]}, "C0"),
+        # |<a a>|^2 = 4 exceeds <a† a> (<a† a> + 1) = 0.11
+        ({"C0": [[[2.0, 0.0], [0.1, 0.0]], [[0.1, 0.0], [2.0, 0.0]]]}, "C0"),
     ],
-    ids=["m0-not-conjugate", "C0-complex-occupation", "C0-pairs-not-conjugate"],
+    ids=[
+        "m0-not-conjugate",
+        "C0-complex-occupation",
+        "C0-pairs-not-conjugate",
+        "C0-negative-occupation",
+        "C0-pairs-beyond-occupation",
+    ],
 )
 def test_initial_moments_of_no_state_are_bad_input(tmp_path, capsys, initial, name):
     path = write_model(tmp_path, sec4_document())
@@ -855,6 +904,23 @@ def test_initial_moments_of_no_state_are_bad_input(tmp_path, capsys, initial, na
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: {name} is not the moments of any state")
+
+
+def test_pure_squeezed_initial_state_is_accepted(tmp_path, capsys):
+    # a squeezed vacuum saturates |<aa>|^2 = <a†a>(<a†a> + 1): its <b_i† b_j>
+    # has the eigenvalue 0, which only the commutator term keeps from
+    # going negative
+    r = 1.3
+    occ, pair = np.sinh(r) ** 2, -np.sinh(r) * np.cosh(r)
+    C0 = [[[pair, 0.0], [occ, 0.0]], [[occ, 0.0], [pair, 0.0]]]
+    path = write_model(tmp_path, sec4_document())
+    file = tmp_path / "initial.json"
+    file.write_text(json.dumps({"C0": C0}))
+    code, _, err = run_cli(
+        capsys, "dynamics", "--model", path, "--t1", "1", "--steps", "3",
+        "--initial", str(file),
+    )
+    assert (code, err) == (0, "")
 
 
 def test_overflowing_dynamics_prints_only_the_refusal(tmp_path, capsys):

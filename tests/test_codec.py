@@ -84,6 +84,30 @@ def test_report_writer_spells_as_json(doc):
     assert cli._json(doc) == json.dumps(_expanded(doc), indent=2)
 
 
+def test_report_writer_spells_repeated_and_signed_values_as_json():
+    # the writer spells each distinct bit pattern once and reuses it: repeats
+    # (a symmetric Z), both zeros in one plain array, non-finite values,
+    # empty and 3-d arrays must still read as json.dumps of the nested lists
+    rng = np.random.default_rng(3)
+    A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    doc = {
+        "Z": A + A.T,
+        "occupations": np.array([0.5, -0.0, 0.0, 0.5, -0.0, 1e-7, 0.0]),
+        "non_finite": np.array([[math.nan, math.inf], [-math.inf, 1.5], [1.5, -math.inf]]),
+        "pairs": np.array([complex(math.inf, math.nan), -0.0 - 0.0j, 1.0 - 0.0j, 1.0]),
+        "cube": np.arange(24.0).reshape(2, 3, 4) % 5 - 2,
+        "complex_cube": (np.arange(8.0) % 3).reshape(2, 2, 2) * (1 - 1j),
+        "empty": np.zeros(0),
+        "empty_rows": np.zeros((3, 0), dtype=complex),
+    }
+    nested = {
+        key: (cli._pairs(v) if np.iscomplexobj(v) else v).tolist() for key, v in doc.items()
+    }
+    text = cli._json(doc)
+    assert text == json.dumps(nested, indent=2)
+    assert "-0.0" in text
+
+
 @settings(deadline=None)
 @given(arrays().filter(lambda a: a.ndim == 2 and not np.iscomplexobj(a)))
 def test_csv_lines_spell_each_value_as_fmt(table):

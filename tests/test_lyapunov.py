@@ -15,7 +15,14 @@ from thirdq import (
     solve_schur,
 )
 
-from conftest import closed_model, random_stable_model, sec4_model, unstable_sec4_model
+from conftest import (
+    NEAR_DEFECTIVE_R,
+    closed_model,
+    from_real_form,
+    random_stable_model,
+    sec4_model,
+    unstable_sec4_model,
+)
 
 SEC4_Z = np.array([[-0.1 + 0.2j, 1.0], [1.0, -0.1 - 0.2j]])
 
@@ -70,8 +77,7 @@ def test_solver_selection_and_refusals():
 
 
 def test_near_defective_falls_back_to_schur():
-    # Jordan-like block split by 1e-10: eigenvectors nearly collinear
-    X = np.array([[1.0, 1.0], [0.0, 1.0 + 1e-10]], dtype=complex)
+    X = from_real_form(NEAR_DEFECTIVE_R)
     Y = np.array([[0.8, 0.3], [0.3, 1.2]], dtype=complex)
     sp = rapidities(X)
     assert sp.cond_P > 1e9
@@ -150,7 +156,7 @@ def test_uncertified_solution_is_refused(rng):
     with pytest.raises(NumericalError):
         solve(struct.X, struct.Y, sp, residual_tol=attained / 2)
 
-    X = np.array([[1.0, 1.0], [0.0, 1.0 + 1e-10]], dtype=complex)
+    X = from_real_form(NEAR_DEFECTIVE_R)
     Y = np.array([[0.8, 0.3], [0.3, 1.2]], dtype=complex)
     sp = rapidities(X)
     sol = solve(X, Y, sp)

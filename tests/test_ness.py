@@ -19,6 +19,7 @@ from thirdq import (
     moment_trajectory,
     physical_correlators,
     rapidities,
+    require_diagonalizable,
     solve,
     solve_schur,
     spectral_gap,
@@ -146,8 +147,9 @@ def test_closed_system_occupation_conserved():
 def test_initial_condition_validation():
     struct, _, _ = _sec4_solution()
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(NonSymmetricInitial):
+    with pytest.raises(NonSymmetricInitial) as refusal:
         moment_trajectory(struct.X, struct.Y, None, bad, None, [0.0, 1.0])
+    assert isinstance(refusal.value, InputError)  # bad input, exit 2
     with pytest.raises(InputError):
         moment_trajectory(struct.X, struct.Y, None, np.zeros((2, 2)), None, [1.0, 0.5])
 
@@ -304,26 +306,45 @@ def test_overflowing_moments_are_refused():
             moment_trajectory(struct.X, struct.Y, None, C0, np.full(2, 1e300), [0.0, 40.0])
 
 
-def test_dynamics_at_exceptional_point_of_order_five(tmp_path, capsys, rng):
-    # H = 2g S_x of spin 2 and loss 1 - 2g m_j on mode m_j = 2..-2: the a-block
-    # of X is (1 + 2g (i S_x - S_z)) / 2 up to sign, a single Jordan block
-    # at beta = 1/2, so eig cannot diagonalize X but the propagator is exact
+def _ep5_model(gain=0.0):
+    """H = 2g S_x of spin 2 and loss 1 - 2g m_j on mode m_j = 2..-2.
+
+    The a-block of X is (1 + 2g (i S_x - S_z)) / 2 up to sign, a single
+    Jordan block at beta = 1/2; the same ``gain`` on every mode shifts it to
+    beta = (1 - gain) / 2.
+    """
     n, g = 5, 0.2
     m = np.arange(2, -3, -1)
     off = np.sqrt(6 - m[1:] * (m[1:] + 1)) / 2  # <m + 1|S_x|m>
     S_x = np.diag(off, 1) + np.diag(off, -1)
     loss = np.sqrt(1 - 2 * g * m)
     channels = [(loss[j] * np.eye(n)[j], np.zeros(n)) for j in range(n)]
+    if gain:
+        channels += [(np.zeros(n), np.sqrt(gain) * np.eye(n)[j]) for j in range(n)]
     forces = [0.3, 0.2j, -0.1, 0.1, 0.05j]
-    model = validate_model(n, 2 * g * S_x, None, channels, forces=forces)
+    return validate_model(n, 2 * g * S_x, None, channels, forces=forces)
+
+
+def _csv_table(text):
+    lines = text.strip().split("\n")
+    header = lines[0].split(",")
+    table = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    return header, table
+
+
+def test_dynamics_at_exceptional_point_of_order_five(tmp_path, capsys, rng):
+    # no eigenbasis of X exists there, but the propagator is exact
+    model = _ep5_model()
+    n = model.n
     struct = build_structure(model)
     with pytest.raises(DefectiveX):
-        rapidities(struct.X)
+        require_diagonalizable(rapidities(struct.X).cond_P)
 
-    # moments a state can have: <a† a> Hermitian, <a† a†> = conj(<a a>)
+    # moments a state can have: <a† a> Hermitian, <a† a†> = conj(<a a>), and
+    # <a† a> above |<a a>| keeps the matrix <b_i† b_j> positive semidefinite
     A = _random_symmetric(rng, n)
     B = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    N = (B + B.conj().T) / 2
+    N = B @ B.conj().T + np.linalg.norm(A, 2) * np.eye(n)
     C0 = np.block([[A, N], [N.T, A.conj()]])
     a = rng.normal(size=n) + 1j * rng.normal(size=n)
     m0 = np.concatenate([a, a.conj()])
@@ -336,9 +357,7 @@ def test_dynamics_at_exceptional_point_of_order_five(tmp_path, capsys, rng):
     path = write_model(tmp_path, model_to_document(model))
     argv = ["dynamics", "--model", path, "--t1", "10", "--steps", "21"]
     assert main(argv + ["--initial", str(initial)]) == 0
-    lines = capsys.readouterr().out.strip().split("\n")
-    header = lines[0].split(",")
-    table = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    header, table = _csv_table(capsys.readouterr().out)
 
     def column(name):
         return table[:, header.index(name)]
@@ -365,3 +384,34 @@ def test_dynamics_at_exceptional_point_of_order_five(tmp_path, capsys, rng):
     assert _rel(occ, C_ref[:, range(n), range(n, 2 * n)].real) <= 1e-12
     assert _rel(aa, C_ref[:, upper[0], upper[1]]) <= 1e-12
     assert _rel(means, m_ref[:, :n]) <= 1e-12
+
+
+def test_ness_at_exceptional_point_of_order_five(tmp_path, capsys):
+    # cond(P) is refused by the eigenbasis route, so the Schur route solves
+    # for Z and its residual certifies it; at beta = 0.3 the covariance
+    # relaxes onto it from the vacuum like e^-1.2t t^8, below 1e-30 by t = 100
+    model = _ep5_model(gain=0.4)
+    n = model.n
+    path = write_model(tmp_path, model_to_document(model))
+    assert main(["ness", "--model", path]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["method"] == "SchurBartelsStewart"
+    assert results["residual"] <= 1e-9
+    Z = np.array(results["Z"]) @ [1.0, 1j]
+    assert np.abs(Z).max() > 0.1
+
+    argv = ["dynamics", "--model", path, "--t1", "100", "--steps", "2"]
+    assert main(argv) == 0
+    header, table = _csv_table(capsys.readouterr().out)
+    late = dict(zip(header, table[-1]))
+    occ = np.array([late[f"occ_{j + 1}"] for j in range(n)])
+    upper = np.triu_indices(n)
+    aa = np.array(
+        [
+            late[f"re_aa_{j + 1}_{k + 1}"] + 1j * late[f"im_aa_{j + 1}_{k + 1}"]
+            for j, k in zip(*upper)
+        ]
+    )
+    scale = np.abs(Z).max()
+    assert np.abs(occ - Z[range(n), range(n, 2 * n)].real).max() <= 1e-12 * scale
+    assert np.abs(aa - Z[upper]).max() <= 1e-12 * scale

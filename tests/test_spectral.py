@@ -9,6 +9,7 @@ from thirdq import (
     DefectiveX,
     InputError,
     NotStable,
+    RapiditySpectrum,
     Stability,
     SymplecticityViolation,
     build_structure,
@@ -16,12 +17,15 @@ from thirdq import (
     classify_stability,
     liouville_spectrum,
     rapidities,
+    require_diagonalizable,
     solve,
     spectral_gap,
 )
+from thirdq.spectral import COND_DEFECTIVE, DEFAULT_TOL_MARGINAL
 
 from conftest import (
     closed_model,
+    from_real_form,
     multiset_max_delta,
     random_stable_model,
     sec4_model,
@@ -30,8 +34,20 @@ from conftest import (
 
 
 def _diagonal_spectrum(beta):
-    """The spectrum of diag(beta), classified with the default band."""
-    return rapidities(np.diag(np.asarray(beta, dtype=complex)))
+    """The spectrum of diag(beta), sorted and classified as rapidities does.
+
+    Built directly: the rapidities of a model come in conjugate pairs, and
+    these tests also take beta that do not.
+    """
+    beta = np.asarray(beta, dtype=complex)
+    order = np.lexsort((beta.imag, beta.real))
+    return RapiditySpectrum(
+        beta=beta[order],
+        P=np.eye(beta.size)[:, order],
+        cond_P=1.0,
+        stability=classify_stability(beta),
+        tol_marginal=DEFAULT_TOL_MARGINAL,
+    )
 
 
 def _sec4_spectrum():
@@ -280,6 +296,11 @@ def test_normal_form_reconstruction(rng):
 
 
 def test_defective_x_rejected():
-    X = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)  # exact Jordan block
+    X = from_real_form([[1.0, 1.0], [0.0, 1.0]])  # exact Jordan block
+    sp = rapidities(X)  # the spectrum itself is returned, with its cond(P)
+    assert not sp.cond_P <= COND_DEFECTIVE
+    with pytest.raises(DefectiveX, match="^X not diagonalizable within tolerance"):
+        require_diagonalizable(sp.cond_P)
     with pytest.raises(DefectiveX):
-        rapidities(X)
+        build_V(sp.P, np.zeros((2, 2)))
+    require_diagonalizable(COND_DEFECTIVE)  # the bound itself is accepted

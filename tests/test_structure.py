@@ -3,7 +3,13 @@ import pytest
 
 from thirdq import NotRealSimilar, bath_matrices, build_structure, realify
 
-from conftest import closed_model, multiset_max_delta, random_model, sec4_model
+from conftest import (
+    closed_model,
+    from_real_form,
+    multiset_max_delta,
+    random_model,
+    sec4_model,
+)
 
 
 def test_reference_structure_matrices():
@@ -69,3 +75,23 @@ def test_realify_preserves_eigenvalues(rng):
         before = np.linalg.eigvals(s.X)
         after = np.linalg.eigvals(realify(s.X).astype(complex))
         assert multiset_max_delta(before, after) <= 1e-9
+
+
+def test_realify_is_the_product_with_u(rng):
+    # the block formula is U A U^-1 without the product: the real part of
+    # the product, and its imaginary remainder judged the same way
+    for _ in range(50):
+        X = build_structure(random_model(rng)).X
+        m = len(X)
+        U = np.kron(np.array([[1.0, 1j], [1j, 1.0]]) / np.sqrt(2.0), np.eye(m // 2))
+        scale = np.abs(X).max()
+        R = realify(X)
+        assert np.abs(R - (U @ X @ U.conj().T).real).max() <= 1e-14 * scale
+        assert np.abs(realify(from_real_form(R)) - R).max() <= 1e-14 * scale
+        A = X + 1e-12 * (rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+        product = U @ A @ U.conj().T
+        assert np.abs(realify(A) - product.real).max() <= 1e-14 * scale
+        ratio = np.linalg.norm(product.imag) / max(1.0, np.linalg.norm(A))
+        realify(A, tol=1.01 * ratio)
+        with pytest.raises(NotRealSimilar):
+            realify(A, tol=0.99 * ratio)
