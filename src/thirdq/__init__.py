@@ -62,6 +62,7 @@ from .ness import (
     mean_source,
     moment_trajectory,
     physical_correlators,
+    require_state_moments,
     steady_mean,
     wick_moment,
 )

@@ -1,12 +1,8 @@
 """Exception hierarchy shared by all thirdq modules.
 
 Every error carries an ``exit_code`` so the command line front end can map
-failures onto its documented exit-code contract:
-
-    2  malformed input (schema, dimensions, symmetry of input matrices)
-    3  numerical failure (non-diagonalizable X, broken internal consistency)
-    4  refusal: the requested quantity needs a stable spectrum
-    5  resource/cutoff limits (enumeration caps, oracle dimension caps)
+failures onto its exit-code contract, which the "Exit codes" table of the
+README states.
 """
 
 

@@ -27,7 +27,8 @@ from .errors import DimensionMismatch, HermiticityViolation, SymmetryViolation
 DEFAULT_TOL_INPUT = 1e-9
 
 
-def _as_complex_matrix(A, n, name):
+def as_complex_matrix(A, n, name):
+    """A copy of ``A`` as a finite complex n x n matrix, else :class:`DimensionMismatch`."""
     A = np.array(A, dtype=complex)  # copy: the result may be frozen
     if A.shape != (n, n):
         raise DimensionMismatch(f"{name} must be {n}x{n}, got {A.shape}")
@@ -36,7 +37,8 @@ def _as_complex_matrix(A, n, name):
     return A
 
 
-def _as_complex_vector(v, n, name):
+def as_complex_vector(v, n, name):
+    """A copy of ``v`` as a finite complex n-vector, else :class:`DimensionMismatch`."""
     v = np.array(v, dtype=complex)  # copy: the result may be frozen
     if v.shape != (n,):
         raise DimensionMismatch(f"{name} must have length {n}, got {v.shape}")
@@ -89,17 +91,28 @@ class BosonicModel:
         )
 
 
-def _deviation(A: np.ndarray, B: np.ndarray, tol: float) -> tuple[float, bool]:
+def float_scale(A: np.ndarray) -> float:
+    """A power of two near the largest real or imaginary part of ``A``, at least 1.
+
+    Dividing by it is exact and leaves every part below 2 in magnitude, so
+    norms and eigenvalues of the quotient do not overflow when the entries
+    are near the float limit.
+    """
+    parts = np.ascontiguousarray(A).view(float)
+    return float(np.ldexp(1.0, np.frexp(np.abs(parts).max(initial=1.0))[1] - 1))
+
+
+def deviation(A: np.ndarray, B: np.ndarray, tol: float) -> tuple[float, bool]:
     """|A - B|_F, and whether it exceeds ``tol * max(1, |A|_F)``.
 
-    Both norms are taken on the matrices divided by a power of two near
-    their largest real or imaginary part.  The division is exact, so the
-    verdict is that of the unscaled norms, but neither norm overflows when
-    the entries are near the float limit.
+    Both norms are taken on the matrices divided by :func:`float_scale` of
+    ``A``.  The division is exact, so the verdict is that of the unscaled
+    norms, but neither norm overflows when the entries are near the float
+    limit (the returned deviation is then ``inf``).
     """
-    s = np.ldexp(1.0, np.frexp(np.abs(A.view(float)).max(initial=1.0))[1] - 1)
+    s = float_scale(A)
     dev = np.linalg.norm(A / s - B / s)
-    return float(dev * s), bool(dev > tol * max(1.0 / s, np.linalg.norm(A / s)))
+    return float(dev) * s, bool(dev > tol * max(1.0 / s, np.linalg.norm(A / s)))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is refused below
@@ -121,15 +134,15 @@ def validate_model(
     """
     if n < 1:
         raise DimensionMismatch(f"n must be >= 1, got {n}")
-    H = _as_complex_matrix(H, n, "H")
-    K = _as_complex_matrix(K if K is not None else np.zeros((n, n)), n, "K")
+    H = as_complex_matrix(H, n, "H")
+    K = as_complex_matrix(K if K is not None else np.zeros((n, n)), n, "K")
 
-    dev_h, too_large = _deviation(H, H.conj().T, tol_input)
+    dev_h, too_large = deviation(H, H.conj().T, tol_input)
     if too_large:
         raise HermiticityViolation(
             f"H deviates from Hermiticity by {dev_h:.3e} (tol {tol_input:.1e})"
         )
-    dev_k, too_large = _deviation(K, K.T, tol_input)
+    dev_k, too_large = deviation(K, K.T, tol_input)
     if too_large:
         raise SymmetryViolation(
             f"K deviates from symmetry by {dev_k:.3e} (tol {tol_input:.1e})"
@@ -148,14 +161,14 @@ def validate_model(
         else:
             l, k = ch[0], ch[1]
             off = ch[2] if len(ch) > 2 else 0j
-        l = _as_complex_vector(l, n, f"channels[{i}].l")
-        k = _as_complex_vector(k, n, f"channels[{i}].k")
+        l = as_complex_vector(l, n, f"channels[{i}].l")
+        k = as_complex_vector(k, n, f"channels[{i}].k")
         l.setflags(write=False)
         k.setflags(write=False)
         chan_list.append(LindbladChannel(l=l, k=k, offset=complex(off)))
 
     if forces is not None:
-        forces = _as_complex_vector(forces, n, "forces")
+        forces = as_complex_vector(forces, n, "forces")
         forces.setflags(write=False)
 
     H.setflags(write=False)
@@ -180,8 +193,8 @@ def bath_matrices(channels, n: int) -> BathMatrices:
     N = np.zeros((n, n), dtype=complex)
     L = np.zeros((n, n), dtype=complex)
     for i, ch in enumerate(channels):
-        l = _as_complex_vector(ch.l, n, f"channels[{i}].l")
-        k = _as_complex_vector(ch.k, n, f"channels[{i}].k")
+        l = as_complex_vector(ch.l, n, f"channels[{i}].l")
+        k = as_complex_vector(ch.k, n, f"channels[{i}].k")
         M += np.outer(l, l.conj())
         N += np.outer(k, k.conj())
         L += np.outer(l, k.conj())

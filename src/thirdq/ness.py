@@ -41,7 +41,7 @@ from .errors import (
     NotStable,
     NumericalError,
 )
-from .model import BosonicModel
+from .model import BosonicModel, deviation, float_scale
 from .spectral import RapiditySpectrum, Stability
 
 
@@ -70,8 +70,8 @@ def physical_correlators(Z: np.ndarray, n: int, tol: float = 1e-8) -> NessSoluti
     Z = np.asarray(Z, dtype=complex)
     if Z.shape != (2 * n, 2 * n):
         raise AsymmetricZ(f"Z must be {2 * n}x{2 * n}, got {Z.shape}")
-    dev = np.linalg.norm(Z - Z.T)
-    if dev > tol * max(1.0, np.linalg.norm(Z)):
+    dev, too_large = deviation(Z, Z.T, tol)
+    if too_large:
         raise AsymmetricZ(f"Z deviates from symmetry by {dev:.3e}")
     pair_aa = Z[:n, :n].copy()
     normal_ad_a = Z[:n, n:].copy()  # entry (j, k) = <a†_k a_j>
@@ -104,6 +104,40 @@ def wick_moment(Z: np.ndarray, indices) -> complex:
     return complex(Z[p, q] * Z[r, s] + Z[p, r] * Z[q, s] + Z[p, s] * Z[q, r])
 
 
+def require_state_moments(C0: np.ndarray, m0: np.ndarray) -> None:
+    """Refuse initial moments that no state has, with :class:`InputError`.
+
+    ``m0`` holds <b_r> and ``C0`` the centred <:δb_r δb_s:> of δb = b - <b>,
+    in the ordering of Z.  Both are judged on the matrices divided by
+    :func:`~thirdq.model.float_scale`, to 1e-8 of max(1, |C0|_F) or
+    max(1, |m0|), so that entries near the float limit are judged too.
+    """
+    two_n = len(C0)
+    # every state has <a†> = conj(<a>), a Hermitian <a† a> and
+    # <a† a†> = conj(<a a>): the moments equal their conjugates with the
+    # a and a† halves swapped
+    swap = np.roll(np.arange(two_n), two_n // 2)
+    for name, A, B in (("C0", C0, C0[swap][:, swap].conj()), ("m0", m0, m0[swap].conj())):
+        dev, too_large = deviation(A, B, 1e-8)
+        if too_large:
+            raise InputError(
+                f"{name} is not the moments of any state: it deviates from its "
+                f"conjugate with a and a† swapped by {dev:.3e}"
+            )
+    # C0 holds the centred <:b_r b_s:>, so the Gram matrix <b_i† b_j> of the
+    # centred b = (a, a†) is C0 with its rows' halves swapped plus the
+    # commutator <[a_j, a†_j]> = 1 in the a a† block; a state's is positive
+    # semidefinite
+    s = float_scale(C0)
+    gram = (C0[swap] + np.diag(np.repeat([0.0, 1.0], two_n // 2))) / s
+    low = np.linalg.eigvalsh((gram + gram.conj().T) / 2)[0]
+    if low < -1e-8 * max(1.0 / s, np.linalg.norm(C0 / s)):
+        raise InputError(
+            "C0 is not the moments of any state: the matrix <b_i† b_j> of its "
+            f"centred moments has the negative eigenvalue {float(low) * s:.3e}"
+        )
+
+
 def _uniform_grid(times) -> tuple[np.ndarray, float]:
     """Return a non-empty, non-negative, ascending, uniform grid and its step."""
     times = np.asarray(times, dtype=float)
@@ -122,15 +156,14 @@ def _uniform_grid(times) -> tuple[np.ndarray, float]:
     return times, h
 
 
-def _moment_step(X: np.ndarray, Y: np.ndarray, g: np.ndarray | None, h: float):
+def _moment_step(X: np.ndarray, Y: np.ndarray, g: np.ndarray, h: float):
     """One step of both flows: C(t+h) = F^T C F + Q and m(t+h) = F^T m + b.
 
     F = expm(-2 X h), Q = 2 int_0^h F(s)^T Y F(s) ds, b = int_0^h F(s)^T g ds.
     expm(tau [[2 X^T, 2 Y, 0], [0, -2 X, 0], [0, g^T, 0]]) holds F(tau) in
     the middle, F(tau)^-T Q(tau) above it and b(tau)^T below it at
     tau = h / 2^s, 2 |X|_1 tau <= 1/2; s doublings then reach h without the
-    growing expm(2 X^T h) that would swamp Q at large h.  Without a source
-    the last row and column are left out and b = 0.
+    growing expm(2 X^T h) that would swamp Q at large h.
     """
     m = X.shape[0]
     norm = 4.0 * np.abs(X).sum(axis=0).max() * h
@@ -138,17 +171,15 @@ def _moment_step(X: np.ndarray, Y: np.ndarray, g: np.ndarray | None, h: float):
         raise NumericalError("covariance overflows the float range on this grid")
     s = int(np.ceil(np.log2(max(norm, 1.0))))  # at most 1024
     tau = np.ldexp(h, -s)  # h / 2^s without forming 2^s, no float at s = 1024
-    size = 2 * m if g is None else 2 * m + 1
-    block = np.zeros((size, size), dtype=complex)
+    block = np.zeros((2 * m + 1, 2 * m + 1), dtype=complex)
     block[:m, :m] = 2.0 * tau * X.T
     block[:m, m : 2 * m] = 2.0 * tau * Y
     block[m : 2 * m, m : 2 * m] = -2.0 * tau * X
-    if g is not None:
-        block[2 * m, m : 2 * m] = tau * g
+    block[2 * m, m : 2 * m] = tau * g
     E = scipy.linalg.expm(block)
     F = E[m : 2 * m, m : 2 * m]
     Q = F.T @ E[:m, m : 2 * m]
-    b = np.zeros(m, dtype=complex) if g is None else E[2 * m, m : 2 * m]
+    b = E[2 * m, m : 2 * m]
     for _ in range(s):
         Q = Q + F.T @ Q @ F
         b = b + F.T @ b
@@ -177,11 +208,11 @@ def moment_trajectory(
     X = np.asarray(X, dtype=complex)
     Y = np.asarray(Y, dtype=complex)
     C0 = np.asarray(C0, dtype=complex)
-    g = None if g is None else np.asarray(g, dtype=complex)
+    g = np.zeros(len(X), dtype=complex) if g is None else np.asarray(g, dtype=complex)
     m0 = np.zeros(len(X), dtype=complex) if m0 is None else np.asarray(m0, dtype=complex)
     times, h = _uniform_grid(times)
-    dev = np.linalg.norm(C0 - C0.T)
-    if dev > 1e-8 * max(1.0, np.linalg.norm(C0)):
+    dev, too_large = deviation(C0, C0.T, 1e-8)
+    if too_large:
         raise NonSymmetricInitial(f"C0 deviates from symmetry by {dev:.3e}")
     C0 = (C0 + C0.T) / 2
 

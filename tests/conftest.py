@@ -81,7 +81,7 @@ def two_mode_model() -> BosonicModel:
 
 def two_mode_document() -> dict:
     m = two_mode_model()
-    from thirdq.cli import model_to_document
+    from thirdq.codec import model_to_document
 
     return model_to_document(m)
 

@@ -12,7 +12,8 @@ import scipy.sparse.linalg
 
 import thirdq.oracle
 from thirdq import build_structure, mean_source, rapidities, steady_mean, validate_model
-from thirdq.cli import document_to_model, main, model_to_document
+from thirdq.cli import main
+from thirdq.codec import document_to_model, model_to_document
 
 from conftest import (
     UNPARSABLE_JSON,
@@ -82,6 +83,16 @@ def test_malformed_json_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "analyze", "--model", str(path))
     assert code == 2
     assert "line" in err and "column" in err
+
+
+def test_unwritable_output_is_bad_input(tmp_path, capsys):
+    path = write_model(tmp_path, sec4_document())
+    output = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, "analyze", "--model", path, "--output", str(output))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot write output file {output}: ")
 
 
 def test_schema_violation_exit_code(tmp_path, capsys):
@@ -577,17 +588,6 @@ def test_exceptional_point_is_refused_where_the_eigenbasis_is_printed(tmp_path, 
     assert run_cli(capsys, "dynamics", "--model", path, "--t1", "1")[0] == 0
 
 
-def test_published_schemas_match_packaged_copies():
-    # /schemas holds the published documents; the package reads its own copies
-    import pathlib
-
-    repo = pathlib.Path(__file__).resolve().parents[1]
-    for name in ("model.schema.json", "report.schema.json"):
-        published = (repo / "schemas" / name).read_text()
-        packaged = (repo / "src" / "thirdq" / "schemas" / name).read_text()
-        assert published == packaged
-
-
 def test_published_schemas_are_byte_identical():
     # every published schema has a packaged twin with the same bytes, and
     # the package ships no schema that is not published
@@ -883,6 +883,8 @@ ZERO_C0 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
         ({"C0": [[[0.0, 0.0], [-0.5, 0.0]], [[-0.5, 0.0], [0.0, 0.0]]]}, "C0"),
         # |<a a>|^2 = 4 exceeds <a† a> (<a† a> + 1) = 0.11
         ({"C0": [[[2.0, 0.0], [0.1, 0.0]], [[0.1, 0.0], [2.0, 0.0]]]}, "C0"),
+        # <a† a> = -1e200: |C0|_F overflows, the scaled norm does not
+        ({"C0": [[[0.0, 0.0], [-1e200, 0.0]], [[-1e200, 0.0], [0.0, 0.0]]]}, "C0"),
     ],
     ids=[
         "m0-not-conjugate",
@@ -890,6 +892,7 @@ ZERO_C0 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
         "C0-pairs-not-conjugate",
         "C0-negative-occupation",
         "C0-pairs-beyond-occupation",
+        "C0-huge-negative-occupation",
     ],
 )
 def test_initial_moments_of_no_state_are_bad_input(tmp_path, capsys, initial, name):

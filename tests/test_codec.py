@@ -2,7 +2,7 @@
 
 Reports must read exactly as ``json.dumps(doc, indent=2)`` of the document
 with every array expanded into nested lists (complex values as ``[re, im]``
-pairs with negative zero folded), every CSV cell exactly as ``_fmt`` spells
+pairs with negative zero folded), every CSV cell exactly as ``fmt`` spells
 it, and every decoded pair exactly as ``complex(re, im)``.  The codecs work
 on whole arrays; these tests hold them to the per-value forms.
 """
@@ -15,8 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from thirdq import cli
-from thirdq.cli import document_to_model, main, model_to_document
+from thirdq import codec
+from thirdq.cli import main
+from thirdq.codec import document_to_model, model_to_document
 from thirdq.model import LindbladChannel, validate_model
 from thirdq.ness import mean_source, moment_trajectory
 from thirdq.spectral import liouville_spectrum, rapidities
@@ -81,7 +82,7 @@ def _expanded(value):
 @given(DOCUMENTS)
 @example({"rows": np.zeros((2, 0)), "none": np.zeros((0, 3), dtype=complex)})
 def test_report_writer_spells_as_json(doc):
-    assert cli._json(doc) == json.dumps(_expanded(doc), indent=2)
+    assert codec._json(doc) == json.dumps(_expanded(doc), indent=2)
 
 
 def test_report_writer_spells_repeated_and_signed_values_as_json():
@@ -101,9 +102,9 @@ def test_report_writer_spells_repeated_and_signed_values_as_json():
         "empty_rows": np.zeros((3, 0), dtype=complex),
     }
     nested = {
-        key: (cli._pairs(v) if np.iscomplexobj(v) else v).tolist() for key, v in doc.items()
+        key: (codec.pairs(v) if np.iscomplexobj(v) else v).tolist() for key, v in doc.items()
     }
-    text = cli._json(doc)
+    text = codec._json(doc)
     assert text == json.dumps(nested, indent=2)
     assert "-0.0" in text
 
@@ -111,8 +112,8 @@ def test_report_writer_spells_repeated_and_signed_values_as_json():
 @settings(deadline=None)
 @given(arrays().filter(lambda a: a.ndim == 2 and not np.iscomplexobj(a)))
 def test_csv_lines_spell_each_value_as_fmt(table):
-    expected = [",".join(cli._fmt(x) for x in row) for row in table]
-    assert list(cli._csv_lines(table)) == expected
+    expected = [",".join(codec.fmt(x) for x in row) for row in table]
+    assert list(codec.csv_lines(table)) == expected
 
 
 @settings(deadline=None)
@@ -127,8 +128,8 @@ def test_pair_decoding_matches_the_per_pair_walk(pairs):
     nest = pairs.tolist()
     expected = np.array([[complex(re, im) for re, im in row] for row in nest])
     # bytes, so that signed zeros, infinities and NaN compare exactly
-    assert cli._from_pair_matrix(nest, "H").tobytes() == expected.tobytes()
-    assert cli._from_pair_vector(nest[0], "l").tobytes() == expected[0].tobytes()
+    assert codec._from_pair_matrix(nest, "H").tobytes() == expected.tobytes()
+    assert codec._from_pair_vector(nest[0], "l").tobytes() == expected[0].tobytes()
 
 
 def _dynamics_reference(model, times):
@@ -141,12 +142,12 @@ def _dynamics_reference(model, times):
     C, means = traj.C, traj.m
     lines = []
     for i, t in enumerate(times):
-        row = [cli._fmt(t)] + [cli._fmt(C[i, j, n + j].real) for j in range(n)]
+        row = [codec.fmt(t)] + [codec.fmt(C[i, j, n + j].real) for j in range(n)]
         for j in range(n):
             for k in range(j, n):
-                row += [cli._fmt(C[i, j, k].real), cli._fmt(C[i, j, k].imag)]
+                row += [codec.fmt(C[i, j, k].real), codec.fmt(C[i, j, k].imag)]
         for j in range(n):
-            row += [cli._fmt(means[i, j].real), cli._fmt(means[i, j].imag)]
+            row += [codec.fmt(means[i, j].real), codec.fmt(means[i, j].imag)]
         lines.append(",".join(row))
     return lines
 
@@ -169,7 +170,7 @@ def test_spectrum_lines_match_the_per_value_table(tmp_path, capsys):
         struct = build_structure(document_to_model(doc))
         modes = liouville_spectrum(rapidities(struct.X), 3)
         expected = [
-            ",".join([str(mi) for mi in m] + [cli._fmt(lam.real), cli._fmt(lam.imag)])
+            ",".join([str(mi) for mi in m] + [codec.fmt(lam.real), codec.fmt(lam.imag)])
             for m, lam in zip(modes.m.tolist(), modes.lam)
         ]
         assert lines[1:] == expected
@@ -192,7 +193,7 @@ def _recursive_spectrum_lines(beta, cutoff):
             modes.append((m, complex(-2.0 * np.dot(m, beta))))
     modes.sort(key=lambda d: (-d[1].real, d[0]))
     return [
-        ",".join([str(mi) for mi in m] + [cli._fmt(lam.real), cli._fmt(lam.imag)])
+        ",".join([str(mi) for mi in m] + [codec.fmt(lam.real), codec.fmt(lam.imag)])
         for m, lam in modes
     ]
 

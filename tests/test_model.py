@@ -11,7 +11,7 @@ from thirdq import (
     bath_matrices,
     validate_model,
 )
-from thirdq.cli import document_to_model, model_to_document
+from thirdq.codec import document_to_model, model_to_document
 
 from conftest import random_model, sec4_model
 

@@ -21,8 +21,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from thirdq import InputError, spectral
-from thirdq import cli
-from thirdq.cli import document_to_model, load_model_document, main
+from thirdq import codec
+from thirdq.cli import main
+from thirdq.codec import document_to_model, load_model_document
 from thirdq.model import validate_model
 from thirdq.verify import run_verification
 
@@ -245,13 +246,13 @@ def test_deep_schema_valid_faults_are_bad_input(tmp_path, capsys, doc, where):
 
 def test_well_formed_arrays_skip_the_per_pair_walk(tmp_path, monkeypatch):
     walked = []
-    real = cli._from_pair
+    real = codec._from_pair
 
     def counting(obj, where, index=None):
         walked.append(where)
         return real(obj, where, index)
 
-    monkeypatch.setattr(cli, "_from_pair", counting)
+    monkeypatch.setattr(codec, "_from_pair", counting)
     doc = _wide("H", 0, 0, value=[1.0, 0.0])
     doc["K"] = [[[0, 0]] * 30] * 30  # JSON integers decode as well
     doc["forces"] = [[0.2, 0.1]] * 30
@@ -266,10 +267,10 @@ def test_loader_keys_match_the_schema():
     channel = schema["properties"]["channels"]["items"]
     assert schema["additionalProperties"] is False
     assert channel["additionalProperties"] is False
-    assert set(cli._MODEL_REQUIRED) == set(schema["required"])
-    assert set(cli._MODEL_KEYS) == set(schema["properties"])
-    assert set(cli._CHANNEL_REQUIRED) == set(channel["required"])
-    assert set(cli._CHANNEL_KEYS) == set(channel["properties"])
+    assert set(codec._MODEL_REQUIRED) == set(schema["required"])
+    assert set(codec._MODEL_KEYS) == set(schema["properties"])
+    assert set(codec._CHANNEL_REQUIRED) == set(channel["required"])
+    assert set(codec._CHANNEL_KEYS) == set(channel["properties"])
 
 
 def test_cli_import_leaves_jsonschema_out():

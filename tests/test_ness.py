@@ -27,7 +27,8 @@ from thirdq import (
     validate_model,
     wick_moment,
 )
-from thirdq.cli import main, model_to_document
+from thirdq.cli import main
+from thirdq.codec import model_to_document
 
 from conftest import (
     closed_model,
@@ -65,6 +66,9 @@ def test_asymmetric_z_rejected():
     Z[0, 1] = 1.0
     with pytest.raises(AsymmetricZ):
         physical_correlators(Z, 1)
+    # |Z - Z^T|_F overflows; the scaled norm does not
+    with pytest.raises(AsymmetricZ):
+        physical_correlators(np.array([[1e200, 3e200], [-1e200, 1e200]]), 1)
 
 
 def test_wick_reference_value():
@@ -150,6 +154,9 @@ def test_initial_condition_validation():
     with pytest.raises(NonSymmetricInitial) as refusal:
         moment_trajectory(struct.X, struct.Y, None, bad, None, [0.0, 1.0])
     assert isinstance(refusal.value, InputError)  # bad input, exit 2
+    huge = np.array([[1e200, 3e200], [-1e200, 1e200]])  # |C0 - C0^T|_F overflows
+    with pytest.raises(NonSymmetricInitial):
+        moment_trajectory(struct.X, struct.Y, None, huge, None, [0.0, 1.0])
     with pytest.raises(InputError):
         moment_trajectory(struct.X, struct.Y, None, np.zeros((2, 2)), None, [1.0, 0.5])
 
