@@ -45,8 +45,6 @@ from .ness import (
     physical_correlators,
     require_state_moments,
 )
-from .oracle import memcap_from_env
-from .verify import run_verification
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +182,10 @@ def cmd_dynamics(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # only verify runs the oracle, which loads scipy.sparse
+    from .oracle import memcap_from_env
+    from .verify import run_verification
+
     model, model_hash = _load_model(args)
     gates, results = run_verification(
         model,

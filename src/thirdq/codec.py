@@ -31,7 +31,6 @@ from .errors import DimensionMismatch, InputError, SchemaError
 from .model import (
     DEFAULT_TOL_INPUT,
     BosonicModel,
-    LindbladChannel,
     as_complex_matrix,
     as_complex_vector,
     validate_model,
@@ -139,48 +138,66 @@ def index_lines(table: np.ndarray, top: int) -> Iterator[str]:
         yield from map(",".join, digits[table[start : start + block]].tolist())
 
 
-def _json(value, level: int = 0) -> str:
-    """``value`` as ``json`` writes it at an indent of 2, each array in one pass.
+def _json(value) -> str:
+    """``value`` as ``json`` writes it at an indent of 2, all arrays in one pass.
 
     Keys are strings.  A float array is written as its nested list, a complex
-    array as nested :func:`pairs`.
+    array as nested :func:`pairs`.  The whole document is laid out as one
+    ``%`` template with a slot per array value, and each distinct float of
+    the document is spelled once.
+    """
+    arrays: list[np.ndarray] = []
+    template = _layout(value, 0, arrays)
+    if not arrays:
+        return template % ()
+    floats = np.concatenate([np.ascontiguousarray(a, dtype=float).ravel() for a in arrays])
+    # each distinct bit pattern is spelled once, so 0.0 and -0.0 stay apart
+    bits, where = np.unique(floats.view(np.int64), return_inverse=True)
+    values = bits.view(float)
+    spelled = np.array(list(map(repr, values.tolist())), dtype=object)
+    # json spells these three floats differently from repr
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        spelled[i] = _JSON_NON_FINITE[spelled[i]]
+    return template % tuple(spelled[where].tolist())
+
+
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _layout(value, level: int, arrays: list) -> str:
+    """The ``%`` template of ``value``; appends each array it lays out to ``arrays``.
+
+    Every other text is escaped, so the slots of the arrays, in the order
+    they were appended, are the template's only conversions.
     """
     if isinstance(value, np.ndarray):
-        return _json_array(pairs(value) if np.iscomplexobj(value) else value, level)
+        if np.iscomplexobj(value):
+            value = pairs(value)
+        if value.size == 0:
+            return _layout(value.tolist(), level, arrays)
+        arrays.append(value)
+        # innermost axis first, each level at the indent of its depth
+        template = "%s"
+        for axis in range(value.ndim - 1, -1, -1):
+            pad = "\n" + "  " * (level + axis + 1)
+            body = ("," + pad).join([template] * value.shape[axis])
+            template = "[" + pad + body + "\n" + "  " * (level + axis) + "]"
+        return template
     if isinstance(value, dict):
-        items = [f"{json.dumps(k)}: {_json(v, level + 1)}" for k, v in value.items()]
+        items = [
+            json.dumps(k).replace("%", "%%") + ": " + _layout(v, level + 1, arrays)
+            for k, v in value.items()
+        ]
         brackets = "{}"
     elif isinstance(value, (list, tuple)):
-        items = [_json(v, level + 1) for v in value]
+        items = [_layout(v, level + 1, arrays) for v in value]
         brackets = "[]"
     else:
-        return json.dumps(value)
+        return json.dumps(value).replace("%", "%%")
     if not items:
         return brackets
     pad = "\n" + "  " * (level + 1)
     return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * level + brackets[1]
-
-
-# json spells these three floats differently from repr
-_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_array(arr: np.ndarray, level: int) -> str:
-    if arr.size == 0:
-        return _json(arr.tolist(), level)
-    # each distinct bit pattern is spelled once, so 0.0 and -0.0 stay apart
-    bits, where = np.unique(
-        np.ascontiguousarray(arr, dtype=float).ravel().view(np.int64), return_inverse=True
-    )
-    spelled = [_JSON_NON_FINITE.get(t, t) for t in map(repr, bits.view(float).tolist())]
-    # one template for the whole nest, innermost axis first, each level at
-    # the indent of its depth
-    template = "%s"
-    for axis in range(arr.ndim - 1, -1, -1):
-        pad = "\n" + "  " * (level + axis + 1)
-        body = ("," + pad).join([template] * arr.shape[axis])
-        template = "[" + pad + body + "\n" + "  " * (level + axis) + "]"
-    return template % tuple(np.array(spelled, dtype=object)[where].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -243,21 +260,35 @@ def load_model_document(path: str) -> tuple[dict, str]:
     return doc, hashlib.sha256(raw).hexdigest()
 
 
+def _offset(ch: dict, i: int) -> complex:
+    return _from_pair(ch["offset"], f"channels[{i}].offset") if "offset" in ch else 0j
+
+
+def _channels(docs: list) -> list[tuple]:
+    """``(l, k, offset)`` of each channel document.
+
+    All ``l`` and all ``k`` are decoded as two stacked arrays; failing that,
+    the per-channel walk names the fault.
+    """
+    ls = _bulk_pairs([ch["l"] for ch in docs], 2)
+    ks = _bulk_pairs([ch["k"] for ch in docs], 2)
+    if ls is None or ks is None:
+        return [
+            (
+                _from_pair_vector(ch["l"], f"channels[{i}].l"),
+                _from_pair_vector(ch["k"], f"channels[{i}].k"),
+                _offset(ch, i),
+            )
+            for i, ch in enumerate(docs)
+        ]
+    return list(zip(ls, ks, (_offset(ch, i) for i, ch in enumerate(docs))))
+
+
 def document_to_model(doc: dict, tol_input: float = DEFAULT_TOL_INPUT) -> BosonicModel:
     n = int(doc["n"])
     H = _from_pair_matrix(doc["H"], "H")
     K = _from_pair_matrix(doc["K"], "K") if "K" in doc else None
-    channels = []
-    for i, ch in enumerate(doc.get("channels", [])):
-        channels.append(
-            LindbladChannel(
-                l=_from_pair_vector(ch["l"], f"channels[{i}].l"),
-                k=_from_pair_vector(ch["k"], f"channels[{i}].k"),
-                offset=_from_pair(ch["offset"], f"channels[{i}].offset")
-                if "offset" in ch
-                else 0j,
-            )
-        )
+    channels = _channels(doc.get("channels", []))
     forces = _from_pair_vector(doc["forces"], "forces") if "forces" in doc else None
     return validate_model(n, H, K, channels, forces, tol_input=tol_input)
 

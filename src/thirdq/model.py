@@ -47,9 +47,30 @@ def as_complex_vector(v, n, name):
     return v
 
 
+def _channel_rows(vectors: list, n: int) -> np.ndarray | None:
+    """A copy of ``vectors`` as the rows of a finite complex array, else None.
+
+    None means some vector is not a finite complex n-vector;
+    :func:`as_complex_vector` then names it.
+    """
+    if not vectors:
+        return np.empty((0, n), dtype=complex)
+    try:
+        rows = np.array(vectors, dtype=complex)
+    except (TypeError, ValueError, OverflowError):  # ragged, non-numeric, 10**400
+        return None
+    if rows.shape != (len(vectors), n) or not np.isfinite(rows.view(float)).all():
+        return None
+    return rows
+
+
 @dataclass(frozen=True)
 class LindbladChannel:
-    """One bath coupling: jump operator l . a + k . a† (+ offset * identity)."""
+    """One bath coupling: jump operator l . a + k . a† (+ offset * identity).
+
+    In a validated model ``l`` and ``k`` are read-only rows of two arrays
+    that stack the vectors of every channel.
+    """
 
     l: np.ndarray
     k: np.ndarray
@@ -154,18 +175,24 @@ def validate_model(
         if not np.isfinite(A).all():
             raise DimensionMismatch(f"{name} overflows the float range when symmetrized")
 
-    chan_list = []
-    for i, ch in enumerate(channels):
-        if isinstance(ch, LindbladChannel):
-            l, k, off = ch.l, ch.k, ch.offset
-        else:
-            l, k = ch[0], ch[1]
-            off = ch[2] if len(ch) > 2 else 0j
-        l = as_complex_vector(l, n, f"channels[{i}].l")
-        k = as_complex_vector(k, n, f"channels[{i}].k")
-        l.setflags(write=False)
-        k.setflags(write=False)
-        chan_list.append(LindbladChannel(l=l, k=k, offset=complex(off)))
+    channels = [
+        ch if isinstance(ch, LindbladChannel) else LindbladChannel(*ch[:3])
+        for ch in channels
+    ]
+    ls, ks = [ch.l for ch in channels], [ch.k for ch in channels]
+    l_rows, k_rows = _channel_rows(ls, n), _channel_rows(ks, n)
+    if l_rows is None or k_rows is None:
+        # the per-channel walk names the first bad vector
+        for i in range(len(ls)):
+            ls[i] = as_complex_vector(ls[i], n, f"channels[{i}].l")
+            ks[i] = as_complex_vector(ks[i], n, f"channels[{i}].k")
+        l_rows, k_rows = _channel_rows(ls, n), _channel_rows(ks, n)
+    l_rows.setflags(write=False)
+    k_rows.setflags(write=False)
+    channels = tuple(
+        LindbladChannel(l=l, k=k, offset=complex(ch.offset))
+        for l, k, ch in zip(l_rows, k_rows, channels)
+    )
 
     if forces is not None:
         forces = as_complex_vector(forces, n, "forces")
@@ -177,14 +204,14 @@ def validate_model(
         n=n,
         H=H,
         K=K,
-        channels=tuple(chan_list),
+        channels=channels,
         forces=forces,
         repaired=repaired,
     )
 
 
 def bath_matrices(channels, n: int) -> BathMatrices:
-    """Accumulate channel vectors into the bath matrices M, N, L.
+    """Accumulate the vectors of validated channels into the bath matrices M, N, L.
 
     M and N are re-Hermitized after accumulation so that they are Hermitian
     exactly, not only up to roundoff.
@@ -192,12 +219,16 @@ def bath_matrices(channels, n: int) -> BathMatrices:
     M = np.zeros((n, n), dtype=complex)
     N = np.zeros((n, n), dtype=complex)
     L = np.zeros((n, n), dtype=complex)
-    for i, ch in enumerate(channels):
-        l = as_complex_vector(ch.l, n, f"channels[{i}].l")
-        k = as_complex_vector(ch.k, n, f"channels[{i}].k")
-        M += np.outer(l, l.conj())
-        N += np.outer(k, k.conj())
-        L += np.outer(l, k.conj())
+    # a zero vector adds only signed zeros, which leave every entry of a sum
+    # that starts at +0.0 unchanged, so skipping it is exact
+    for ch in channels:
+        has_l, has_k = ch.l.any(), ch.k.any()
+        if has_l:
+            M += np.outer(ch.l, ch.l.conj())
+        if has_k:
+            N += np.outer(ch.k, ch.k.conj())
+        if has_l and has_k:
+            L += np.outer(ch.l, ch.k.conj())
     M = (M + M.conj().T) / 2
     N = (N + N.conj().T) / 2
     return BathMatrices(M=M, N=N, L=L)

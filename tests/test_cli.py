@@ -588,6 +588,18 @@ def test_exceptional_point_is_refused_where_the_eigenbasis_is_printed(tmp_path, 
     assert run_cli(capsys, "dynamics", "--model", path, "--t1", "1")[0] == 0
 
 
+def test_verify_refuses_an_exceptional_point(tmp_path, capsys):
+    # the oracle resolves the Jordan block's eigenvalue only to about the cube
+    # root of its tolerance, which would fail the spectrum gate (exit 6)
+    model = validate_model(1, [[1.0]], [[0.5]], [([1.0], [0.0])])
+    path = write_model(tmp_path, model_to_document(model))
+    code, out, err = run_cli(capsys, "verify", "--model", path)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: X not diagonalizable within tolerance (cond(P) = ")
+
+
 def test_published_schemas_are_byte_identical():
     # every published schema has a packaged twin with the same bytes, and
     # the package ships no schema that is not published

@@ -81,6 +81,11 @@ def _expanded(value):
 @settings(deadline=None)
 @given(DOCUMENTS)
 @example({"rows": np.zeros((2, 0)), "none": np.zeros((0, 3), dtype=complex)})
+# the whole report is one % template: keys and strings must not act as slots
+@example({"%s": np.array([1 + 2j, -0.5j]), "a%": "100%s", "%%d": [np.array([0.5])]})
+# each distinct float is spelled once per report, wherever it stands
+@example({"a": np.array([0.1, 2.0]), "b": np.array([[2.0], [0.1]]), "c": 0.1})
+@example({"pos": np.array([0.0, 1.0]), "neg": np.array([-0.0]), "plain": -0.0})
 def test_report_writer_spells_as_json(doc):
     assert codec._json(doc) == json.dumps(_expanded(doc), indent=2)
 

@@ -67,9 +67,86 @@ def test_dimension_mismatches():
         validate_model(1, [[np.nan]], None, [])
 
 
+def _faulty_channels(fault, n=3):
+    """Four channels; channel 2 is the first with a bad vector (its k)."""
+    good = np.arange(n) + 0.5j
+    vectors = [[good, good] for _ in range(4)]
+    if fault == "ragged":
+        vectors[2][1] = np.arange(n + 1.0)
+        vectors[3][0] = np.arange(n - 1.0)
+    elif fault == "non-finite":
+        vectors[2][1] = good + np.array([0.0, np.inf, 0.0])
+        vectors[3][0] = np.full(n, np.nan)
+    else:  # every vector is one entry too long: channel 0 is the first bad one
+        vectors = [[np.arange(n + 1.0)] * 2 for _ in range(4)]
+    return vectors
+
+
+@pytest.mark.parametrize("form", ["LindbladChannel", "tuple"])
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ("ragged", "channels[2].k must have length 3"),
+        ("non-finite", "channels[2].k contains non-finite entries"),
+        ("wrong-width", "channels[0].l must have length 3"),
+    ],
+)
+def test_first_bad_channel_vector_is_named(form, fault, message):
+    vectors = _faulty_channels(fault)
+    if form == "LindbladChannel":
+        channels = [LindbladChannel(l=l, k=k) for l, k in vectors]
+    else:
+        channels = [(l, k) for l, k in vectors]
+    with pytest.raises(DimensionMismatch) as info:
+        validate_model(3, np.eye(3), None, channels)
+    assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("form", ["LindbladChannel", "tuple"])
+def test_channel_vectors_are_read_only_copies(form):
+    l, k = np.array([1.0, 2.0j]), np.array([0.5, 0.0])
+    channel = LindbladChannel(l=l, k=k) if form == "LindbladChannel" else (l, k)
+    model = validate_model(2, np.eye(2), None, [channel, channel])
+    for ch in model.channels:
+        for v in (ch.l, ch.k):
+            with pytest.raises(ValueError):
+                v[0] = 7.0
+    l[0], k[1] = 9.0, 9.0
+    assert model.channels[0].l.tolist() == model.channels[1].l.tolist() == [1.0, 2.0j]
+    assert model.channels[0].k.tolist() == [0.5, 0.0]
+
+
 def test_bath_matrices_empty_channel_list():
     bath = bath_matrices([], 3)
     assert not bath.M.any() and not bath.N.any() and not bath.L.any()
+
+
+def _per_channel_bath(channels, n):
+    """M, N, L as one outer product per channel and vector, summed from zeros."""
+    M, N, L = (np.zeros((n, n), dtype=complex) for _ in range(3))
+    for ch in channels:
+        M = M + np.outer(ch.l, ch.l.conj())
+        N = N + np.outer(ch.k, ch.k.conj())
+        L = L + np.outer(ch.l, ch.k.conj())
+    return (M + M.conj().T) / 2, (N + N.conj().T) / 2, L
+
+
+@pytest.mark.parametrize("zero", ["none", "l", "k", "both", "all-channels"])
+def test_bath_matrices_equal_the_per_channel_sum_bit_for_bit(rng, zero):
+    # a zero vector's outer products are skipped; that must be exact
+    n = 5
+    channels = list(random_model(rng, n=n, max_channels=6).channels)
+    channels += [LindbladChannel(l=ch.l * 0.5j, k=ch.k[::-1]) for ch in channels]
+    if zero == "all-channels":
+        channels = []
+    for i, ch in enumerate(channels):
+        if zero != "none" and i % 2 == 0:
+            l = np.zeros(n, dtype=complex) if zero in ("l", "both") else ch.l
+            k = -np.zeros(n, dtype=complex) if zero in ("k", "both") else ch.k
+            channels[i] = LindbladChannel(l=l, k=k)
+    bath = bath_matrices(validate_model(n, np.eye(n), None, channels).channels, n)
+    for got, expected in zip((bath.M, bath.N, bath.L), _per_channel_bath(channels, n)):
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_bath_matrices_reference_values():

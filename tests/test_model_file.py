@@ -233,9 +233,13 @@ def test_out_of_range_number_is_bad_input(tmp_path, capsys):
             _wide("channels", 2, "l", 23, value=[0.0, -(10**400)]),
             "channels[2].l[23]: number outside the float range",
         ),
+        (
+            _wide("channels", 2, "k", 23, value=[10**400, 0.0]),
+            "channels[2].k[23]: number outside the float range",
+        ),
         (_wide("H", 17, 29, value=None), "H: ragged rows"),
     ],
-    ids=["deep-H-out-of-range", "deep-l-out-of-range", "ragged-row"],
+    ids=["deep-H-out-of-range", "deep-l-out-of-range", "deep-k-out-of-range", "ragged-row"],
 )
 def test_deep_schema_valid_faults_are_bad_input(tmp_path, capsys, doc, where):
     # the schema bounds neither the numbers nor the row lengths
