@@ -34,7 +34,6 @@ from .errors import (
 from .model import (
     BathMatrices,
     BosonicModel,
-    LindbladChannel,
     bath_matrices,
     validate_model,
 )

@@ -296,12 +296,12 @@ def document_to_model(doc: dict, tol_input: float = DEFAULT_TOL_INPUT) -> Bosoni
 def model_to_document(model: BosonicModel) -> dict:
     doc = {"n": model.n, "H": pairs(model.H).tolist(), "K": pairs(model.K).tolist()}
     doc["channels"] = []
-    for ch in model.channels:
-        entry = {"l": pairs(ch.l).tolist(), "k": pairs(ch.k).tolist()}
-        if ch.offset != 0:
-            entry["offset"] = pairs(ch.offset).tolist()
+    for l_mu, k_mu, lam in zip(model.l, model.k, model.offsets):
+        entry = {"l": pairs(l_mu).tolist(), "k": pairs(k_mu).tolist()}
+        if lam != 0:
+            entry["offset"] = pairs(lam).tolist()
         doc["channels"].append(entry)
-    if model.forces is not None:
+    if model.forces.any():
         doc["forces"] = pairs(model.forces).tolist()
     return doc
 

@@ -26,7 +26,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import IllConditioned, NotStable, NumericalError, ResonantSpectrum
 from .spectral import (
@@ -106,6 +105,8 @@ def solve_schur(
     The pivots of the triangular solve are T_jj + T_kk; a pivot below
     ``tol_marginal`` means the equation is singular (:class:`ResonantSpectrum`).
     """
+    import scipy.linalg  # scipy is slow to import; load it only here
+
     X = np.asarray(X, dtype=complex)
     Y = np.asarray(Y, dtype=complex)
     T, Q = scipy.linalg.schur(X, output="complex")

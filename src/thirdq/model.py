@@ -65,19 +65,6 @@ def _channel_rows(vectors: list, n: int) -> np.ndarray | None:
 
 
 @dataclass(frozen=True)
-class LindbladChannel:
-    """One bath coupling: jump operator l . a + k . a† (+ offset * identity).
-
-    In a validated model ``l`` and ``k`` are read-only rows of two arrays
-    that stack the vectors of every channel.
-    """
-
-    l: np.ndarray
-    k: np.ndarray
-    offset: complex = 0j
-
-
-@dataclass(frozen=True)
 class BathMatrices:
     """Channel vectors accumulated into the M, N, L coupling matrices."""
 
@@ -90,26 +77,26 @@ class BathMatrices:
 class BosonicModel:
     """A validated quadratic bosonic open system.
 
-    Instances are immutable after :func:`validate_model`; the arrays are
-    marked read-only so a model can be shared across concurrent tasks.
+    Channel ``mu`` has the jump operator ``l[mu] . a + k[mu] . a† +
+    offsets[mu]``: ``l`` and ``k`` are ``(c, n)`` arrays, ``offsets`` a
+    ``(c,)`` array.  ``forces`` is the ``(n,)`` array of linear forces,
+    zeros when the model has none.  Instances are immutable after
+    :func:`validate_model`; every array is marked read-only so a model can
+    be shared across concurrent tasks.
     """
 
     n: int
     H: np.ndarray
     K: np.ndarray
-    channels: tuple[LindbladChannel, ...]
-    forces: np.ndarray | None = None
+    l: np.ndarray
+    k: np.ndarray
+    offsets: np.ndarray
+    forces: np.ndarray
     repaired: bool = field(default=False, compare=False)
 
     @property
-    def channel_offsets(self) -> np.ndarray:
-        return np.array([c.offset for c in self.channels], dtype=complex)
-
-    @property
     def has_linear_terms(self) -> bool:
-        return (self.forces is not None and np.any(self.forces != 0)) or bool(
-            np.any(self.channel_offsets != 0)
-        )
+        return bool(self.forces.any() or self.offsets.any())
 
 
 def float_scale(A: np.ndarray) -> float:
@@ -151,7 +138,9 @@ def validate_model(
     ``tol_input`` (measured in the Frobenius norm against ``max(1, |A|_F)``);
     deviations below the tolerance are repaired by averaging, larger ones are
     rejected.  File round-trips introduce last-ulp noise, which is why the
-    near-symmetric case is repaired rather than refused.
+    near-symmetric case is repaired rather than refused.  ``channels`` is a
+    sequence of ``(l, k)`` or ``(l, k, offset)`` tuples; ``forces=None`` is
+    no force.
     """
     if n < 1:
         raise DimensionMismatch(f"n must be >= 1, got {n}")
@@ -175,11 +164,8 @@ def validate_model(
         if not np.isfinite(A).all():
             raise DimensionMismatch(f"{name} overflows the float range when symmetrized")
 
-    channels = [
-        ch if isinstance(ch, LindbladChannel) else LindbladChannel(*ch[:3])
-        for ch in channels
-    ]
-    ls, ks = [ch.l for ch in channels], [ch.k for ch in channels]
+    channels = list(channels)
+    ls, ks = [ch[0] for ch in channels], [ch[1] for ch in channels]
     l_rows, k_rows = _channel_rows(ls, n), _channel_rows(ks, n)
     if l_rows is None or k_rows is None:
         # the per-channel walk names the first bad vector
@@ -187,48 +173,38 @@ def validate_model(
             ls[i] = as_complex_vector(ls[i], n, f"channels[{i}].l")
             ks[i] = as_complex_vector(ks[i], n, f"channels[{i}].k")
         l_rows, k_rows = _channel_rows(ls, n), _channel_rows(ks, n)
-    l_rows.setflags(write=False)
-    k_rows.setflags(write=False)
-    channels = tuple(
-        LindbladChannel(l=l, k=k, offset=complex(ch.offset))
-        for l, k, ch in zip(l_rows, k_rows, channels)
-    )
+    offsets = [complex(ch[2]) if len(ch) > 2 else 0j for ch in channels]
+    offsets = np.array(offsets, dtype=complex)
+    bad = np.flatnonzero(~np.isfinite(offsets))
+    if bad.size:
+        raise DimensionMismatch(f"channels[{bad[0]}].offset is not finite")
+    forces = as_complex_vector(forces if forces is not None else np.zeros(n), n, "forces")
 
-    if forces is not None:
-        forces = as_complex_vector(forces, n, "forces")
-        forces.setflags(write=False)
-
-    H.setflags(write=False)
-    K.setflags(write=False)
-    return BosonicModel(
-        n=n,
-        H=H,
-        K=K,
-        channels=channels,
-        forces=forces,
-        repaired=repaired,
-    )
+    for A in (H, K, l_rows, k_rows, offsets, forces):
+        A.setflags(write=False)
+    return BosonicModel(n, H, K, l_rows, k_rows, offsets, forces, repaired=repaired)
 
 
-def bath_matrices(channels, n: int) -> BathMatrices:
-    """Accumulate the vectors of validated channels into the bath matrices M, N, L.
+def bath_matrices(l: np.ndarray, k: np.ndarray) -> BathMatrices:
+    """Accumulate the ``(c, n)`` rows ``l`` and ``k`` into the bath matrices M, N, L.
 
     M and N are re-Hermitized after accumulation so that they are Hermitian
     exactly, not only up to roundoff.
     """
+    n = l.shape[1]
     M = np.zeros((n, n), dtype=complex)
     N = np.zeros((n, n), dtype=complex)
     L = np.zeros((n, n), dtype=complex)
     # a zero vector adds only signed zeros, which leave every entry of a sum
     # that starts at +0.0 unchanged, so skipping it is exact
-    for ch in channels:
-        has_l, has_k = ch.l.any(), ch.k.any()
+    for l_mu, k_mu in zip(l, k):
+        has_l, has_k = l_mu.any(), k_mu.any()
         if has_l:
-            M += np.outer(ch.l, ch.l.conj())
+            M += np.outer(l_mu, l_mu.conj())
         if has_k:
-            N += np.outer(ch.k, ch.k.conj())
+            N += np.outer(k_mu, k_mu.conj())
         if has_l and has_k:
-            L += np.outer(ch.l, ch.k.conj())
+            L += np.outer(l_mu, k_mu.conj())
     M = (M + M.conj().T) / 2
     N = (N + N.conj().T) / 2
     return BathMatrices(M=M, N=N, L=L)

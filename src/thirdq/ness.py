@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     AsymmetricZ,
@@ -165,6 +164,8 @@ def _moment_step(X: np.ndarray, Y: np.ndarray, g: np.ndarray, h: float):
     tau = h / 2^s, 2 |X|_1 tau <= 1/2; s doublings then reach h without the
     growing expm(2 X^T h) that would swamp Q at large h.
     """
+    from scipy.linalg import expm  # scipy is slow to import; load it only here
+
     m = X.shape[0]
     norm = 4.0 * np.abs(X).sum(axis=0).max() * h
     if not np.isfinite(norm):
@@ -176,7 +177,7 @@ def _moment_step(X: np.ndarray, Y: np.ndarray, g: np.ndarray, h: float):
     block[:m, m : 2 * m] = 2.0 * tau * Y
     block[m : 2 * m, m : 2 * m] = -2.0 * tau * X
     block[2 * m, m : 2 * m] = tau * g
-    E = scipy.linalg.expm(block)
+    E = expm(block)
     F = E[m : 2 * m, m : 2 * m]
     Q = F.T @ E[:m, m : 2 * m]
     b = E[2 * m, m : 2 * m]
@@ -236,12 +237,9 @@ def moment_trajectory(
 
 def mean_source(model: BosonicModel) -> np.ndarray:
     """Assemble the first-moment source g from forces and channel offsets."""
-    n = model.n
-    f = model.forces if model.forces is not None else np.zeros(n, dtype=complex)
-    g_a = -1j * f.conj()
-    for ch in model.channels:
-        lam = complex(ch.offset)
-        g_a = g_a + np.conj(lam) * ch.k - lam * ch.l.conj()
+    g_a = -1j * model.forces.conj()
+    for l_mu, k_mu, lam in zip(model.l, model.k, model.offsets):
+        g_a = g_a + np.conj(lam) * k_mu - lam * l_mu.conj()
     return np.concatenate([g_a, g_a.conj()])
 
 

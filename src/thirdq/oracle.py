@@ -250,11 +250,11 @@ class Liouvillean:
 
     ``L`` is the sparse generator.  On construction it is also written in
     the Hermitian basis ``U`` (see :func:`hermitian_basis`) as the real
-    sparse matrix ``M = U† L U``, which every stage of the oracle uses; a
-    generator whose ``M`` is not real to ``HERMITICITY_TOL`` times
-    ``|L|_F`` does not preserve Hermiticity and raises
-    :class:`NumericalError`.  The sparse readout ``R`` gives every reported
-    moment of a state from its coordinates: ``R @ x``.  ``blocks`` holds the
+    sparse matrix ``M = U† L U``, which every stage of the oracle uses.  A
+    generator whose ``|L|_F`` overflows, or whose ``M`` is not real to
+    ``HERMITICITY_TOL`` times ``|L|_F`` (it does not preserve Hermiticity),
+    raises :class:`NumericalError`.  The sparse readout ``R`` gives every
+    reported moment of a state from its coordinates: ``R @ x``.  ``blocks`` holds the
     coordinate indices of each connected component of the sparsity graph of
     ``M`` (without linear terms, superparity splits it into two); ``M``
     couples no two blocks.
@@ -268,6 +268,8 @@ class Liouvillean:
         M = self.U.conj().T @ self.L @ self.U
         self.L.sum_duplicates()
         scale = _frobenius(self.L.data)
+        if not np.isfinite(scale):
+            raise NumericalError(f"generator norm |L|_F = {scale} is not finite")
         imag = np.abs(M.data.imag).max(initial=0.0)
         if imag > HERMITICITY_TOL * scale:
             raise NumericalError(
@@ -289,15 +291,18 @@ class Liouvillean:
 
 
 def _assemble_operators(model: BosonicModel, ops: FockOperators):
-    f = np.zeros(model.n, dtype=complex) if model.forces is None else model.forces
-    K = model.K.ravel()
+    f, K = model.forces, model.K.ravel()
     coef = np.r_[K, K.conj(), model.H.T.ravel(), f, f.conj()]  # a†_k a_j takes H_kj
     H = _operator(ops, _quadratic_words(model.n), coef)
     m = np.arange(1, model.n + 1)
     ladder = [*zip(-m), *zip(m), ()]  # a_j, a†_j, the identity
-    return H, [_operator(ops, ladder, np.r_[ch.l, ch.k, ch.offset]) for ch in model.channels]
+    return H, [
+        _operator(ops, ladder, np.r_[l_mu, k_mu, lam])
+        for l_mu, k_mu, lam in zip(model.l, model.k, model.offsets)
+    ]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is refused in Liouvillean
 def build_liouvillean_matrix(
     model: BosonicModel, cutoff: int, memcap: int | None = None
 ) -> Liouvillean:
@@ -339,8 +344,8 @@ def _slow_modes(B: sp.csc_matrix, k: int, vectors: bool):
     Implicitly restarted Arnoldi (ARPACK) from the all-ones start vector;
     with ``vectors`` it also returns their right eigenvectors as columns.
     A block ARPACK cannot take (``k >= width - 1``, or no wider than its
-    Krylov basis) is solved dense.  Non-convergence raises
-    :class:`NumericalError`.
+    Krylov basis) is solved dense.  Any ARPACK failure, non-convergence
+    included, raises :class:`NumericalError`.
     """
     width = B.shape[0]
     if k >= width - 1 or width <= ARNOLDI_NCV:
@@ -359,6 +364,10 @@ def _slow_modes(B: sp.csc_matrix, k: int, vectors: bool):
         except scipy.sparse.linalg.ArpackNoConvergence:
             raise NumericalError(
                 f"ARPACK did not converge on a {width}-wide block of M for k = {k}"
+            ) from None
+        except scipy.sparse.linalg.ArpackError as e:
+            raise NumericalError(
+                f"ARPACK failed on a {width}-wide block of M for k = {k}: {e}"
             ) from None
         w, V = out if vectors else (out, None)
     order = np.argsort(-w.real, kind="stable")[:k]

@@ -46,7 +46,7 @@ class StructureMatrices:
 def build_structure(model: BosonicModel) -> StructureMatrices:
     """Assemble X, Y and S0 = trace(M) - trace(N) from a validated model."""
     n = model.n
-    bath = bath_matrices(model.channels, n)
+    bath = bath_matrices(model.l, model.k)
     M, N, L = bath.M, bath.N, bath.L
     H, K = model.H, model.K
 

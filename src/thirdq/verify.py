@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DimensionCap
 from .lyapunov import solve
 from .model import BosonicModel
 from .ness import (
@@ -40,6 +41,7 @@ from .structure import build_structure
 TRACE_PRESERVATION_TOL = 1e-10
 
 
+@np.errstate(over="ignore")  # a cutoff beyond the float range is refused below
 def default_cutoff(
     occupations, pairs, mean_abs2, tol_moments: float = 1e-6
 ) -> int:
@@ -53,7 +55,8 @@ def default_cutoff(
     (heavier than the displaced one's far tail).  Levels at and above d
     then carry about q^d (d + nbar) of the mean occupation, and each mode
     gets the smallest d that puts this below a tenth of ``tol_moments``.
-    The largest mode's d is returned, never below 10.
+    The largest mode's d is returned, never below 10.  An occupation so
+    large that d is not a finite float raises :class:`DimensionCap`.
     """
     nbar = (
         np.maximum(np.asarray(occupations, dtype=float), 0.0)
@@ -66,8 +69,13 @@ def default_cutoff(
         rate = np.log1p(1.0 / nb)  # -ln q
         # least d >= cutoff with d * rate >= ln((d + nb) / target)
         d = cutoff
-        while (nxt := int(np.ceil(np.log((d + nb) / target) / rate))) > d:
-            d = nxt
+        while (nxt := np.ceil(np.log((d + nb) / target) / rate)) > d:
+            if not np.isfinite(nxt):
+                raise DimensionCap(
+                    f"a predicted occupation of {nb:.3e} needs a Fock cutoff "
+                    "beyond the float range"
+                )
+            d = int(nxt)
         cutoff = d
     return cutoff
 
@@ -112,8 +120,10 @@ def run_verification(
     g = mean_source(model) if linear else None
     ma = steady_mean(struct.X, g, spectrum)[:n] if linear else np.zeros(n, dtype=complex)
     if cutoff is None:
+        with np.errstate(over="ignore"):  # default_cutoff refuses an infinite mean
+            mean_abs2 = np.abs(ma) ** 2
         cutoff = default_cutoff(
-            corr.occupations, np.diag(corr.pair_aa), np.abs(ma) ** 2, tol_moments
+            corr.occupations, np.diag(corr.pair_aa), mean_abs2, tol_moments
         )
     lio = build_liouvillean_matrix(model, cutoff, memcap=memcap)
     trace_resid = lio.trace_preservation_residual()

@@ -7,7 +7,6 @@ from scipy.optimize import linear_sum_assignment
 
 from thirdq import (
     BosonicModel,
-    LindbladChannel,
     Stability,
     build_structure,
     rapidities,
@@ -116,7 +115,7 @@ def random_model(rng, n=None, max_channels=4, gain_scale=0.35, squeeze_scale=0.1
     for _ in range(int(rng.integers(1, max_channels + 1))):
         l = rng.normal(size=n) + 1j * rng.normal(size=n)
         k = gain_scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
-        channels.append(LindbladChannel(l=l, k=k))
+        channels.append((l, k))
     return validate_model(n, H, K, channels)
 
 

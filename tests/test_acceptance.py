@@ -173,7 +173,7 @@ def test_criterion_5_property_suite(suite):
         worst["occ_im"] = max(worst["occ_im"], np.abs(occ.imag).max())
         worst["occ_neg"] = max(worst["occ_neg"], float(-occ.real.min()))
 
-        bath = bath_matrices(model.channels, n)
+        bath = bath_matrices(model.l, model.k)
         expected = np.trace(bath.M) - np.trace(bath.N)
         scale = max(1.0, abs(expected))
         worst["trace"] = max(

@@ -513,6 +513,69 @@ def test_arpack_non_convergence_is_a_numerical_error(tmp_path, capsys, monkeypat
     assert err == "error: ARPACK did not converge on a 450-wide block of M for k = 6\n"
 
 
+def test_any_arpack_failure_is_a_numerical_error(tmp_path, capsys, monkeypatch):
+    def failure(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackError(-9999)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", failure)
+    path = write_model(tmp_path, sec4_document())
+    code, out, err = run_cli(capsys, "verify", "--model", path, "--cutoff", "30")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ARPACK failed on a 450-wide block of M for k = 6: ")
+
+
+def _with_linear_term(tmp_path, term: str, value: str) -> str:
+    """The README oscillator with ``value`` (JSON text) as its force or first offset."""
+    doc = sec4_document()
+    if term == "forces":
+        doc["forces"] = "VALUE"
+    else:
+        doc["channels"][0]["offset"] = "VALUE"
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc).replace('"VALUE"', value))
+    return str(path)
+
+
+@pytest.mark.parametrize("spelling", ["NaN", "1e999"])
+@pytest.mark.parametrize(
+    "command",
+    [["analyze"], ["dynamics", "--t1", "1"], ["verify", "--cutoff", "8"]],
+    ids=["analyze", "dynamics", "verify"],
+)
+def test_non_finite_channel_offset_is_bad_input(tmp_path, capsys, command, spelling):
+    path = _with_linear_term(tmp_path, "offset", f"[{spelling}, 0.0]")
+    code, out, err = run_cli(capsys, *command, "--model", path)
+    assert (code, out, err) == (2, "", "error: channels[0].offset is not finite\n")
+
+
+# 1e200 squared overflows: the predicted mean occupation, and |L|_F, are inf or NaN
+HUGE_LINEAR_TERMS = pytest.mark.parametrize(
+    "term, value",
+    [("forces", "[[1e200, 0.0]]"), ("offset", "[1e200, 0.0]")],
+    ids=["forces", "offset"],
+)
+
+
+@HUGE_LINEAR_TERMS
+def test_verify_refuses_an_unbounded_default_cutoff(tmp_path, capsys, term, value):
+    path = _with_linear_term(tmp_path, term, value)
+    code, out, err = run_cli(capsys, "verify", "--model", path)
+    assert (code, out) == (5, "")
+    assert err == (
+        "error: a predicted occupation of inf needs a Fock cutoff beyond the float range\n"
+    )
+
+
+@HUGE_LINEAR_TERMS
+def test_verify_refuses_a_generator_whose_norm_overflows(tmp_path, capsys, term, value):
+    path = _with_linear_term(tmp_path, term, value)
+    code, out, err = run_cli(capsys, "verify", "--model", path, "--cutoff", "8")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: generator norm |L|_F = ")
+    assert err.endswith(" is not finite\n")
+
+
 def test_krylov_stepper_without_tolerance_is_a_numerical_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(thirdq.oracle, "KRYLOV_TOL", 0.0)
     path = write_model(tmp_path, sec4_document())

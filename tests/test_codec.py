@@ -18,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 from thirdq import codec
 from thirdq.cli import main
 from thirdq.codec import document_to_model, model_to_document
-from thirdq.model import LindbladChannel, validate_model
+from thirdq.model import validate_model
 from thirdq.ness import mean_source, moment_trajectory
 from thirdq.spectral import liouville_spectrum, rapidities
 from thirdq.structure import build_structure
@@ -209,8 +209,8 @@ def _random_chain(rng, n):
     H = np.diag(rng.uniform(0.5, 1.5, n)) + np.diag(hop, 1) + np.diag(hop.conj(), -1)
     loss, gain = rng.uniform(0.5, 1.0, n), rng.uniform(0.0, 0.4, n)
     zero = np.zeros(n)
-    channels = [LindbladChannel(l=np.sqrt(u) * e, k=zero) for u, e in zip(loss, np.eye(n))]
-    channels += [LindbladChannel(l=zero, k=np.sqrt(v) * e) for v, e in zip(gain, np.eye(n))]
+    channels = [(np.sqrt(u) * e, zero) for u, e in zip(loss, np.eye(n))]
+    channels += [(zero, np.sqrt(v) * e) for v, e in zip(gain, np.eye(n))]
     return validate_model(n, H, None, channels)
 
 

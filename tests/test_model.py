@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from thirdq import (
     DimensionMismatch,
     HermiticityViolation,
-    LindbladChannel,
     SymmetryViolation,
     bath_matrices,
     validate_model,
@@ -82,7 +81,11 @@ def _faulty_channels(fault, n=3):
     return vectors
 
 
-@pytest.mark.parametrize("form", ["LindbladChannel", "tuple"])
+# a channel is an (l, k) or an (l, k, offset) tuple
+CHANNEL_FORMS = {"tuple": lambda l, k: (l, k), "offset-tuple": lambda l, k: (l, k, 0.25j)}
+
+
+@pytest.mark.parametrize("form", CHANNEL_FORMS)
 @pytest.mark.parametrize(
     "fault, message",
     [
@@ -92,42 +95,49 @@ def _faulty_channels(fault, n=3):
     ],
 )
 def test_first_bad_channel_vector_is_named(form, fault, message):
-    vectors = _faulty_channels(fault)
-    if form == "LindbladChannel":
-        channels = [LindbladChannel(l=l, k=k) for l, k in vectors]
-    else:
-        channels = [(l, k) for l, k in vectors]
+    channels = [CHANNEL_FORMS[form](l, k) for l, k in _faulty_channels(fault)]
     with pytest.raises(DimensionMismatch) as info:
         validate_model(3, np.eye(3), None, channels)
     assert str(info.value).startswith(message)
 
 
-@pytest.mark.parametrize("form", ["LindbladChannel", "tuple"])
+@pytest.mark.parametrize("form", CHANNEL_FORMS)
 def test_channel_vectors_are_read_only_copies(form):
     l, k = np.array([1.0, 2.0j]), np.array([0.5, 0.0])
-    channel = LindbladChannel(l=l, k=k) if form == "LindbladChannel" else (l, k)
+    channel = CHANNEL_FORMS[form](l, k)
     model = validate_model(2, np.eye(2), None, [channel, channel])
-    for ch in model.channels:
-        for v in (ch.l, ch.k):
-            with pytest.raises(ValueError):
-                v[0] = 7.0
+    for v in (*model.l, *model.k):
+        with pytest.raises(ValueError):
+            v[0] = 7.0
     l[0], k[1] = 9.0, 9.0
-    assert model.channels[0].l.tolist() == model.channels[1].l.tolist() == [1.0, 2.0j]
-    assert model.channels[0].k.tolist() == [0.5, 0.0]
+    assert model.l.tolist() == [[1.0, 2.0j], [1.0, 2.0j]]
+    assert model.k.tolist() == [[0.5, 0.0], [0.5, 0.0]]
+    assert model.offsets.tolist() == [complex(*channel[2:])] * 2
+
+
+@pytest.mark.parametrize(
+    "offset", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "imag-inf"]
+)
+def test_non_finite_channel_offset_is_named(offset):
+    channels = [([1.0], [0.0], 0.5), ([1.0], [0.0], offset)]
+    with pytest.raises(DimensionMismatch, match=r"^channels\[1\]\.offset is not finite$"):
+        validate_model(1, [[1.0]], None, channels)
 
 
 def test_bath_matrices_empty_channel_list():
-    bath = bath_matrices([], 3)
+    model = validate_model(3, np.eye(3))
+    assert model.l.shape == model.k.shape == (0, 3) and model.offsets.shape == (0,)
+    bath = bath_matrices(model.l, model.k)
     assert not bath.M.any() and not bath.N.any() and not bath.L.any()
 
 
 def _per_channel_bath(channels, n):
     """M, N, L as one outer product per channel and vector, summed from zeros."""
     M, N, L = (np.zeros((n, n), dtype=complex) for _ in range(3))
-    for ch in channels:
-        M = M + np.outer(ch.l, ch.l.conj())
-        N = N + np.outer(ch.k, ch.k.conj())
-        L = L + np.outer(ch.l, ch.k.conj())
+    for l, k in channels:
+        M = M + np.outer(l, l.conj())
+        N = N + np.outer(k, k.conj())
+        L = L + np.outer(l, k.conj())
     return (M + M.conj().T) / 2, (N + N.conj().T) / 2, L
 
 
@@ -135,23 +145,25 @@ def _per_channel_bath(channels, n):
 def test_bath_matrices_equal_the_per_channel_sum_bit_for_bit(rng, zero):
     # a zero vector's outer products are skipped; that must be exact
     n = 5
-    channels = list(random_model(rng, n=n, max_channels=6).channels)
-    channels += [LindbladChannel(l=ch.l * 0.5j, k=ch.k[::-1]) for ch in channels]
+    model = random_model(rng, n=n, max_channels=6)
+    channels = list(zip(model.l, model.k))
+    channels += [(l * 0.5j, k[::-1]) for l, k in channels]
     if zero == "all-channels":
         channels = []
-    for i, ch in enumerate(channels):
+    for i, (l, k) in enumerate(channels):
         if zero != "none" and i % 2 == 0:
-            l = np.zeros(n, dtype=complex) if zero in ("l", "both") else ch.l
-            k = -np.zeros(n, dtype=complex) if zero in ("k", "both") else ch.k
-            channels[i] = LindbladChannel(l=l, k=k)
-    bath = bath_matrices(validate_model(n, np.eye(n), None, channels).channels, n)
+            l = np.zeros(n, dtype=complex) if zero in ("l", "both") else l
+            k = -np.zeros(n, dtype=complex) if zero in ("k", "both") else k
+            channels[i] = (l, k)
+    model = validate_model(n, np.eye(n), None, channels)
+    bath = bath_matrices(model.l, model.k)
     for got, expected in zip((bath.M, bath.N, bath.L), _per_channel_bath(channels, n)):
         assert got.tobytes() == expected.tobytes()
 
 
 def test_bath_matrices_reference_values():
     m = sec4_model()
-    bath = bath_matrices(m.channels, 1)
+    bath = bath_matrices(m.l, m.k)
     assert bath.M[0, 0] == pytest.approx(1.0, abs=1e-15)
     assert bath.N[0, 0] == pytest.approx(0.5, abs=1e-15)
     assert bath.L[0, 0] == pytest.approx(0.25, abs=1e-15)
@@ -160,7 +172,7 @@ def test_bath_matrices_reference_values():
 @pytest.mark.parametrize("c", [0.3, 1.0 + 0.5j, -0.2j, 2.0])
 def test_single_channel_saturates_positivity(c):
     # one channel forces |L|^2 = M N exactly (rank-1 coupling)
-    bath = bath_matrices([LindbladChannel(l=np.array([1.0 + 0j]), k=np.array([c]))], 1)
+    bath = bath_matrices(np.array([[1.0 + 0j]]), np.array([[c]], dtype=complex))
     assert abs(bath.L[0, 0]) ** 2 == pytest.approx(
         (bath.M[0, 0] * bath.N[0, 0]).real, rel=1e-12
     )
@@ -170,7 +182,7 @@ def test_bath_matrices_hermitian_psd(rng):
     for _ in range(100):
         n = int(rng.integers(1, 7))
         model = random_model(rng, n=n)
-        bath = bath_matrices(model.channels, n)
+        bath = bath_matrices(model.l, model.k)
         for A in (bath.M, bath.N):
             assert np.array_equal(A, A.conj().T)
             assert np.linalg.eigvalsh(A).min() >= -1e-12
@@ -179,8 +191,8 @@ def test_bath_matrices_hermitian_psd(rng):
 def test_cross_coupling_cauchy_schwarz_bound(rng):
     for _ in range(100):
         model = random_model(rng)
-        bath = bath_matrices(model.channels, model.n)
-        nch = max(1, len(model.channels))
+        bath = bath_matrices(model.l, model.k)
+        nch = max(1, len(model.l))
         bound = (
             np.real(np.diag(bath.M))[:, None]
             * np.real(np.diag(bath.N))[None, :]
@@ -195,15 +207,18 @@ def test_serialization_round_trip(rng):
         forces = None
         if rng.random() < 0.5:
             forces = rng.normal(size=base.n) + 1j * rng.normal(size=base.n)
-        model = validate_model(base.n, base.H, base.K, base.channels, forces)
+        offsets = rng.normal(size=len(base.l)) * (rng.random(len(base.l)) < 0.5)
+        channels = list(zip(base.l, base.k, offsets))
+        model = validate_model(base.n, base.H, base.K, channels, forces)
         doc = model_to_document(model)
+        assert ("forces" in doc) == (forces is not None)
         back = document_to_model(doc)
         assert np.allclose(back.H, model.H, atol=1e-15, rtol=0)
         assert np.allclose(back.K, model.K, atol=1e-15, rtol=0)
-        for c1, c2 in zip(back.channels, model.channels):
-            assert np.allclose(c1.l, c2.l, atol=1e-15, rtol=0)
-            assert np.allclose(c1.k, c2.k, atol=1e-15, rtol=0)
-            assert c1.offset == c2.offset
+        assert np.allclose(back.l, model.l, atol=1e-15, rtol=0)
+        assert np.allclose(back.k, model.k, atol=1e-15, rtol=0)
+        np.testing.assert_array_equal(back.offsets, model.offsets)
+        np.testing.assert_array_equal(back.forces, model.forces)
 
 
 @settings(max_examples=50, deadline=None)
@@ -214,11 +229,13 @@ def test_serialization_round_trip(rng):
 def test_complex_scalars_round_trip_exactly(re, im):
     m = validate_model(1, [[1.0]], None, [([re + 1j * im], [0.5 * re - 1j * im])])
     back = document_to_model(model_to_document(m))
-    assert back.channels[0].l[0] == m.channels[0].l[0]
-    assert back.channels[0].k[0] == m.channels[0].k[0]
+    assert back.l[0, 0] == m.l[0, 0]
+    assert back.k[0, 0] == m.k[0, 0]
 
 
 def test_model_arrays_are_read_only():
-    m = sec4_model()
-    with pytest.raises(ValueError):
-        m.H[0, 0] = 2.0
+    m = validate_model(1, [[1.0]], None, [([1.0], [0.5], 0.1)], forces=[0.2])
+    for name in ("H", "K", "l", "k", "offsets", "forces"):
+        A = getattr(m, name)
+        with pytest.raises(ValueError):
+            A[(0,) * A.ndim] = 2.0

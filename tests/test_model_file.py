@@ -213,7 +213,7 @@ def test_schema_valid_documents_load(tmp_path, doc):
     loaded, _ = load_model_document(write_model(tmp_path, doc))
     model = document_to_model(loaded)
     assert model.n == int(doc["n"])
-    assert len(model.channels) == len(doc["channels"])
+    assert model.l.shape == model.k.shape == (len(doc["channels"]), model.n)
 
 
 def test_out_of_range_number_is_bad_input(tmp_path, capsys):

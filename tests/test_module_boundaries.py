@@ -2,14 +2,20 @@
 
 A ``_``-prefixed name is private to the module that defines it; a module
 that needs another's helper gets a public name for it.  Importing the
-package or its command line runs neither the oracle nor ``verify``.
+package or its command line runs neither the oracle nor ``verify``, and
+only the commands that call into scipy import it.
 """
 
 import ast
+import json
 import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
+
+from conftest import sec4_document
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "thirdq"
 
@@ -51,10 +57,43 @@ assert "scipy.sparse" in sys.modules
 """
 
 
-def test_imports_leave_the_oracle_unloaded_until_used():
+def run_fresh(code: str, *args: str, cwd=None) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", LAZY_IMPORT_CHECK], env=env, capture_output=True, text=True
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, cwd=cwd, capture_output=True, text=True
     )
+
+
+def test_imports_leave_the_oracle_unloaded_until_used():
+    result = run_fresh(LAZY_IMPORT_CHECK)
     assert result.returncode == 0, result.stderr
+
+
+# prints whether scipy is loaded after one command in a fresh interpreter
+SCIPY_AFTER_COMMAND = """
+import contextlib, io, sys
+from thirdq.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, "scipy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "command, loads_scipy",
+    [
+        (["analyze"], False),
+        (["ness"], False),
+        (["spectrum", "-M", "2"], False),
+        (["sweep", "--param", "H.0.0.0", "--from", "0", "--to", "1", "--steps", "3"], False),
+        (["dynamics", "--t1", "1"], True),
+    ],
+    ids=lambda value: value[0] if isinstance(value, list) else None,
+)
+def test_only_commands_that_need_scipy_import_it(tmp_path, command, loads_scipy):
+    # the README oscillator: Stable, so ness takes the eigenbasis route
+    (tmp_path / "osc.json").write_text(json.dumps(sec4_document()))
+    result = run_fresh(SCIPY_AFTER_COMMAND, *command, "--model", "osc.json", cwd=tmp_path)
+    assert result.stdout.split() == ["0", str(loads_scipy)], result.stderr

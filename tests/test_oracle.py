@@ -11,7 +11,6 @@ from thirdq import (
     DimensionCap,
     DimensionMismatch,
     InputError,
-    LindbladChannel,
     Liouvillean,
     NumericalError,
     TruncationInsufficient,
@@ -246,8 +245,7 @@ def _with_linear_terms(rng, model):
     """The same model with random forces and channel offsets added."""
     n = model.n
     channels = [
-        LindbladChannel(l=ch.l, k=ch.k, offset=complex(*(0.2 * rng.normal(size=2))))
-        for ch in model.channels
+        (l, k, complex(*(0.2 * rng.normal(size=2)))) for l, k in zip(model.l, model.k)
     ]
     forces = 0.3 * (rng.normal(size=n) + 1j * rng.normal(size=n))
     return validate_model(n, model.H, model.K, channels, forces=forces)
@@ -535,7 +533,7 @@ def _dense_generator(model, cutoff):
     a = dense_ladders(model.n, cutoff)
     ad = [m.conj().T for m in a]
     I = np.eye(cutoff**model.n)
-    f = np.zeros(model.n) if model.forces is None else model.forces
+    f = model.forces
     H = sum(
         model.H[j, k] * ad[j] @ a[k]
         + model.K[j, k] * a[j] @ a[k]
@@ -544,8 +542,8 @@ def _dense_generator(model, cutoff):
         for k in range(model.n)
     ) + sum(f[j] * a[j] + np.conj(f[j]) * ad[j] for j in range(model.n))
     L = -1j * (np.kron(I, H) - np.kron(H.T, I))
-    for ch in model.channels:
-        J = sum(ch.l[j] * a[j] + ch.k[j] * ad[j] for j in range(model.n)) + ch.offset * I
+    for l, k, offset in zip(model.l, model.k, model.offsets):
+        J = sum(l[j] * a[j] + k[j] * ad[j] for j in range(model.n)) + offset * I
         JdJ = J.conj().T @ J
         L = L + 2 * np.kron(J.conj(), J) - np.kron(I, JdJ) - np.kron(JdJ.T, I)
     return L

@@ -31,7 +31,7 @@ def test_closed_system_structure():
 def test_trace_identity_n3(rng):
     model = random_model(rng, n=3)
     s = build_structure(model)
-    bath = bath_matrices(model.channels, 3)
+    bath = bath_matrices(model.l, model.k)
     expected = np.trace(bath.M) - np.trace(bath.N)
     assert abs(np.trace(s.X) - expected) <= 1e-12 * max(1.0, abs(expected))
 
@@ -58,7 +58,7 @@ def test_structure_invariants_random_suite(rng):
     for _ in range(500):
         model = random_model(rng)
         s = build_structure(model)
-        bath = bath_matrices(model.channels, model.n)
+        bath = bath_matrices(model.l, model.k)
         assert np.array_equal(s.Y, s.Y.T)
         expected = np.trace(bath.M) - np.trace(bath.N)
         scale = max(1.0, abs(expected))
