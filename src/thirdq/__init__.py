@@ -62,6 +62,7 @@ from .ness import (
     MomentTrajectory,
     NessSolution,
     mean_source,
+    moment_steps,
     moment_trajectory,
     physical_correlators,
     require_state_moments,

@@ -24,6 +24,7 @@ from .codec import (
     load_model_document,
     pairs,
     report,
+    require_table_size,
     resolve_sweep_path,
 )
 from .errors import SchemaError, ThirdQError
@@ -41,7 +42,7 @@ from .spectral import (
 from .lyapunov import RESIDUAL_TOL, solve
 from .ness import (
     mean_source,
-    moment_trajectory,
+    moment_steps,
     physical_correlators,
     require_state_moments,
 )
@@ -140,14 +141,22 @@ def cmd_dynamics(args) -> int:
         C0, m0 = load_initial_state(args.initial, two_n)
         require_state_moments(C0, m0)
 
+    with_means = model.has_linear_terms or bool(np.any(m0 != 0))
+    rows, cols = np.triu_indices(n)  # the pairs j <= k, row by row
+    header = ["t"] + [f"occ_{j + 1}" for j in range(n)]
+    for j, k in zip(rows.tolist(), cols.tolist()):
+        header += [f"re_aa_{j + 1}_{k + 1}", f"im_aa_{j + 1}_{k + 1}"]
+    if with_means:
+        for j in range(n):
+            header += [f"re_mean_a_{j + 1}", f"im_mean_a_{j + 1}"]
+
     if args.steps < 1:
         raise SchemaError("--steps must be >= 1")
     if not (math.isfinite(args.t0) and math.isfinite(args.t1)):
         raise SchemaError("--t0 and --t1 must be finite")
-    if args.t1 == args.t0:
-        times = np.array([args.t0])
-    else:
-        times = np.linspace(args.t0, args.t1, args.steps)
+    count = 1 if args.t1 == args.t0 else args.steps
+    require_table_size(count, len(header))
+    times = np.linspace(args.t0, args.t1, count)
 
     # eigenvalues only: the propagator needs no eigenbasis, so a defective X
     # is no reason to refuse
@@ -159,25 +168,20 @@ def cmd_dynamics(args) -> int:
             "warning: unstable rapidity spectrum; moments amplify without bound\n"
         )
 
+    # row i holds the printed moments of step i, so one step of C is alive;
+    # a complex array viewed as floats is its [re, im] pairs, and csv_lines
+    # folds negative zero
     g = mean_source(model) if model.has_linear_terms else None
-    traj = moment_trajectory(struct.X, struct.Y, g, C0, m0, times)
-    with_means = model.has_linear_terms or bool(np.any(m0 != 0))
-
-    rows, cols = np.triu_indices(n)  # the pairs j <= k, row by row
-    header = ["t"] + [f"occ_{j + 1}" for j in range(n)]
-    for j, k in zip(rows.tolist(), cols.tolist()):
-        header += [f"re_aa_{j + 1}_{k + 1}", f"im_aa_{j + 1}_{k + 1}"]
-    if with_means:
-        for j in range(n):
-            header += [f"re_mean_a_{j + 1}", f"im_mean_a_{j + 1}"]
-    columns = [
-        times[:, None],
-        traj.C[:, range(n), range(n, two_n)].real,
-        pairs(traj.C[:, rows, cols]).reshape(len(times), -1),
-    ]
-    if with_means:
-        columns.append(pairs(traj.m[:, :n]).reshape(len(times), -1))
-    emit(csv_table(header, csv_lines(np.hstack(columns))), args.output)
+    table = np.empty((times.size, len(header)))
+    table[:, 0] = times
+    occ, aa = slice(1, n + 1), slice(n + 1, n + 1 + 2 * rows.size)
+    diagonal = (np.arange(n), np.arange(n, two_n))  # <a†_j a_j>
+    for i, (C, m) in enumerate(moment_steps(struct.X, struct.Y, g, C0, m0, times)):
+        table[i, occ] = C[diagonal].real
+        table[i, aa] = C[rows, cols].view(float)
+        if with_means:
+            table[i, aa.stop :] = m[:n].view(float)
+    emit(csv_table(header, csv_lines(table)), args.output)
     return 0
 
 
@@ -215,6 +219,10 @@ def cmd_sweep(args) -> int:
         raise SchemaError("--steps must be >= 1")
     if not (math.isfinite(args.start) and math.isfinite(args.stop)):
         raise SchemaError("--from and --to must be finite")
+    header = ["value", "min_re_beta", "stability", "gap"] + [
+        f"occ_{j + 1}" for j in range(n)
+    ]
+    require_table_size(args.steps, len(header))
     grid = np.linspace(args.start, args.stop, args.steps)
 
     rows = []
@@ -241,9 +249,6 @@ def cmd_sweep(args) -> int:
             row.extend("" for _ in range(model.n))
         rows.append(",".join(row))
 
-    header = ["value", "min_re_beta", "stability", "gap"] + [
-        f"occ_{j + 1}" for j in range(n)
-    ]
     emit(csv_table(header, rows), args.output)
     return 0
 

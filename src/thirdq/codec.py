@@ -27,7 +27,7 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from . import __version__
-from .errors import DimensionMismatch, InputError, SchemaError
+from .errors import CapError, DimensionMismatch, InputError, SchemaError
 from .model import (
     DEFAULT_TOL_INPUT,
     BosonicModel,
@@ -35,6 +35,11 @@ from .model import (
     as_complex_vector,
     validate_model,
 )
+
+# the most cells a dynamics or sweep table may hold: 0.8 GB as floats
+TABLE_LIMIT = 100_000_000
+_SLICE = 1 << 16  # characters passed to one write
+_BLOCK = 1 << 16  # table values converted to Python floats at once
 
 
 # ---------------------------------------------------------------------------
@@ -119,11 +124,14 @@ def fmt(x) -> str:
 def csv_lines(table: np.ndarray) -> Iterator[str]:
     """Each row of a float table as one CSV line, each value as :func:`fmt` writes it.
 
-    A line is joined as its row is formatted, so one row's strings are alive
-    at a time.
+    Rows become Python floats a block of about ``_BLOCK`` values at a time,
+    and a line is joined as its row is formatted, so one block's floats and
+    one row's strings are alive at a time.
     """
-    for row in table + 0.0:
-        yield ",".join(map(repr, row.tolist()))
+    rows = _BLOCK // max(1, table.shape[1]) or 1
+    for start in range(0, len(table), rows):
+        for row in (table[start : start + rows] + 0.0).tolist():
+            yield ",".join(map(repr, row))
 
 
 def index_lines(table: np.ndarray, top: int) -> Iterator[str]:
@@ -310,16 +318,37 @@ def model_to_document(model: BosonicModel) -> dict:
 # output plumbing
 
 
-def emit(text: str, output: str | None) -> None:
-    """Write ``text`` to stdout or to the file ``output``; failing that, bad input."""
+def emit(pieces: str | Iterable[str], output: str | None) -> None:
+    """Write a text, or its pieces in order, to stdout or to the file ``output``.
+
+    Short pieces are joined and long ones cut into slices of about
+    ``_SLICE`` characters, so no write encodes more than a slice and the
+    whole text is never held at once.  An unwritable file is bad input.
+    """
+    if isinstance(pieces, str):
+        pieces = (pieces,)
     if output is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(output, "w", newline="") as fh:
-                fh.write(text)
-        except OSError as e:
-            raise InputError(f"cannot write output file {output}: {e}") from None
+        sys.stdout.writelines(_slices(pieces))
+        return
+    try:
+        with open(output, "w", newline="") as fh:
+            fh.writelines(_slices(pieces))
+    except OSError as e:
+        raise InputError(f"cannot write output file {output}: {e}") from None
+
+
+def _slices(pieces: Iterable[str]) -> Iterator[str]:
+    """``pieces`` joined, in order, and cut into strings of about ``_SLICE`` characters."""
+    batch, size = [], 0
+    for piece in pieces:
+        batch.append(piece)
+        size += len(piece)
+        if size >= _SLICE:
+            text = "".join(batch)  # one piece is joined without a copy
+            for start in range(0, len(text), _SLICE):
+                yield text[start : start + _SLICE]
+            batch, size = [], 0
+    yield "".join(batch)
 
 
 def report(command: str, model_hash: str, tolerances: dict, results: dict) -> str:
@@ -333,8 +362,20 @@ def report(command: str, model_hash: str, tolerances: dict, results: dict) -> st
     return _json(doc) + "\n"
 
 
-def csv_table(header: list[str], lines: Iterable[str]) -> str:
-    return "\n".join([",".join(header), *lines]) + "\n"
+def csv_table(header: list[str], lines: Iterable[str]) -> Iterator[str]:
+    """The CSV text of a header and its lines, a line at a time, for :func:`emit`."""
+    yield ",".join(header) + "\n"
+    for line in lines:
+        yield line + "\n"
+
+
+def require_table_size(rows: int, columns: int) -> None:
+    """Refuse a table of more than ``TABLE_LIMIT`` cells with :class:`CapError`."""
+    if rows * columns > TABLE_LIMIT:
+        raise CapError(
+            f"table would hold {rows} rows of {columns} columns "
+            f"(limit {TABLE_LIMIT} cells)"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ suite.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,7 +189,54 @@ def _moment_step(X: np.ndarray, Y: np.ndarray, g: np.ndarray, h: float):
     return F, Q, b
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow is refused below
+def moment_steps(
+    X: np.ndarray,
+    Y: np.ndarray,
+    g: np.ndarray | None,
+    C0: np.ndarray,
+    m0: np.ndarray | None,
+    times,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield ``(C, m)`` at each time of a uniform grid, one step at a time.
+
+    The moments of :func:`moment_trajectory`, bit for bit, with one time
+    step of them alive; each yielded pair is a fresh array.  Refusals come
+    as the steps are drawn: a bad grid or ``C0`` at the first draw, an
+    overflowing covariance at its step, and overflowing means after the
+    last step, so that a covariance that overflows anywhere on the grid is
+    named first.
+    """
+    # overflow is refused below, so numpy's warnings are off for each step's
+    # arithmetic, and never across a yield
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = np.asarray(X, dtype=complex)
+        Y = np.asarray(Y, dtype=complex)
+        C = np.asarray(C0, dtype=complex)
+        g = np.zeros(len(X), dtype=complex) if g is None else np.asarray(g, dtype=complex)
+        m = np.zeros(len(X), dtype=complex) if m0 is None else np.asarray(m0, dtype=complex)
+        times, h = _uniform_grid(times)
+        dev, too_large = deviation(C, C.T, 1e-8)
+        if too_large:
+            raise NonSymmetricInitial(f"C0 deviates from symmetry by {dev:.3e}")
+        C = (C + C.T) / 2
+        F, Q, b = _moment_step(X, Y, g, float(times[0]))
+    means_finite = True
+    for i in range(times.size):
+        with np.errstate(over="ignore", invalid="ignore"):
+            if i == 1:
+                F, Q, b = _moment_step(X, Y, g, h)
+            C = F.T @ C @ F + Q
+            C = (C + C.T) / 2
+            m = F.T @ m + b
+            if not np.isfinite(C).all():
+                raise NumericalError("covariance overflows the float range on this grid")
+            means_finite = means_finite and bool(np.isfinite(m).all())
+        yield C, m
+    if not means_finite:
+        raise NumericalError("means overflow the float range on this grid")
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing grid is refused
 def moment_trajectory(
     X: np.ndarray,
     Y: np.ndarray,
@@ -204,34 +252,14 @@ def moment_trajectory(
     propagator step from 0 to the first time, then one per grid interval.
     A grid that is not non-negative, ascending and uniform raises
     :class:`InputError`; moments that overflow raise :class:`NumericalError`,
-    the covariance checked first.
+    the covariance checked first.  The stack of :func:`moment_steps`.
     """
-    X = np.asarray(X, dtype=complex)
-    Y = np.asarray(Y, dtype=complex)
-    C0 = np.asarray(C0, dtype=complex)
-    g = np.zeros(len(X), dtype=complex) if g is None else np.asarray(g, dtype=complex)
-    m0 = np.zeros(len(X), dtype=complex) if m0 is None else np.asarray(m0, dtype=complex)
-    times, h = _uniform_grid(times)
-    dev, too_large = deviation(C0, C0.T, 1e-8)
-    if too_large:
-        raise NonSymmetricInitial(f"C0 deviates from symmetry by {dev:.3e}")
-    C0 = (C0 + C0.T) / 2
-
-    F, Q, b = _moment_step(X, Y, g, float(times[0]))
-    C = np.empty((times.size,) + C0.shape, dtype=complex)
-    m = np.empty((times.size, m0.size), dtype=complex)
-    Ci = F.T @ C0 @ F + Q
-    C[0] = (Ci + Ci.T) / 2
-    m[0] = F.T @ m0 + b
-    F, Q, b = _moment_step(X, Y, g, h)
-    for i in range(1, times.size):
-        Ci = F.T @ C[i - 1] @ F + Q
-        C[i] = (Ci + Ci.T) / 2
-        m[i] = F.T @ m[i - 1] + b
-    if not np.isfinite(C).all():
-        raise NumericalError("covariance overflows the float range on this grid")
-    if not np.isfinite(m).all():
-        raise NumericalError("means overflow the float range on this grid")
+    times, _ = _uniform_grid(times)
+    two_n = len(X)
+    C = np.empty((times.size, two_n, two_n), dtype=complex)
+    m = np.empty((times.size, two_n), dtype=complex)
+    for i, (C_i, m_i) in enumerate(moment_steps(X, Y, g, C0, m0, times)):
+        C[i], m[i] = C_i, m_i
     return MomentTrajectory(times=times, C=C, m=m)
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -223,6 +224,80 @@ def test_dynamics_unstable_banner(tmp_path, capsys):
     header, rows = parse_csv(out)
     occ = [float(r[header.index("occ_1")]) for r in rows]
     assert all(b > a for a, b in zip(occ, occ[1:]))
+
+
+def _forced_chain_document(rng, n):
+    chain = dense_chain_model(rng, n)
+    forces = rng.normal(size=n) + 1j * rng.normal(size=n)
+    channels = list(zip(chain.l, chain.k))
+    return model_to_document(validate_model(n, chain.H, chain.K, channels, forces=forces))
+
+
+def test_dynamics_holds_one_step_of_its_moments(tmp_path, capsys, rng):
+    # C on the whole grid, 1001 x 40 x 40 complex, would take 25.6 MB, more
+    # than the CSV's 10 MB; the table of printed moments takes 3.9 MB
+    path = write_model(tmp_path, _forced_chain_document(rng, 20))
+    output = tmp_path / "dynamics.csv"
+    argv = ["dynamics", "--model", path, "--t1", "10", "--output", str(output)]
+    assert main(argv + ["--steps", "2"]) == 0  # imports load before the trace
+    tracemalloc.start()
+    try:
+        code = main(argv + ["--steps", "1001"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < output.stat().st_size
+
+
+def test_dynamics_table_beyond_the_cell_limit_is_refused(tmp_path, capsys, rng, monkeypatch):
+    # 10^7 rows of 2,601 columns, refused before the grid is made: C alone
+    # would take 1.46 TiB
+    path = write_model(tmp_path, model_to_document(dense_chain_model(rng, 50)))
+    code, out, err = run_cli(
+        capsys, "dynamics", "--model", path, "--t1", "10", "--steps", "10000000"
+    )
+    assert (code, out) == (5, "")
+    assert err == (
+        "error: table would hold 10000000 rows of 2601 columns (limit 100000000 cells)\n"
+    )
+    # 25 rows of t, occ_1, re_aa_1_1 and im_aa_1_1 meet a limit of 100 cells
+    monkeypatch.setattr("thirdq.codec.TABLE_LIMIT", 100)
+    path = write_model(tmp_path, sec4_document())
+    argv = ["dynamics", "--model", path, "--t1", "1"]
+    assert run_cli(capsys, *argv, "--steps", "25")[0] == 0
+    assert run_cli(capsys, *argv, "--steps", "26")[0] == 5
+
+
+def test_sweep_table_beyond_the_cell_limit_is_refused(tmp_path, capsys, rng):
+    # 10^12 rows, refused before np.linspace would ask for 7.28 TiB
+    path = write_model(tmp_path, model_to_document(dense_chain_model(rng, 3)))
+    code, out, err = run_cli(
+        capsys, "sweep", "--model", path, "--param", "H.0.0.0",
+        "--from", "0", "--to", "1", "--steps", "1000000000000",
+    )
+    assert (code, out) == (5, "")
+    assert err == (
+        "error: table would hold 1000000000000 rows of 7 columns (limit 100000000 cells)\n"
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "command",
+    # a report fails when the file is closed, a CSV of 2,001 rows while it
+    # is written
+    [["ness"], ["dynamics", "--t1", "10", "--steps", "2001"]],
+    ids=["ness", "dynamics"],
+)
+def test_write_that_fails_after_open_is_bad_input(tmp_path, capsys, command):
+    path = write_model(tmp_path, sec4_document())
+    code, out, err = run_cli(
+        capsys, command[0], "--model", path, *command[1:], "--output", "/dev/full"
+    )
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: cannot write output file /dev/full: ")
 
 
 def test_verify_reference_model(tmp_path, capsys):
@@ -1013,6 +1088,26 @@ def test_overflowing_dynamics_prints_only_the_refusal(tmp_path, capsys):
     assert err.splitlines() == [
         "warning: unstable rapidity spectrum; moments amplify without bound",
         "error: covariance overflows the float range on this grid",
+    ]
+
+
+def test_overflowing_means_print_only_the_refusal(tmp_path, capsys):
+    # a mean of 1e300 leaves the float range by t = 40 and the covariance
+    # only near t = 709: the means are refused after the last step
+    path = write_model(tmp_path, model_to_document(unstable_sec4_model()))
+    initial = tmp_path / "initial.json"
+    initial.write_text(json.dumps({"C0": [[[0.0, 0.0]] * 2] * 2, "m0": [[1e300, 0.0]] * 2}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "dynamics", "--model", path, "--t1", "40", "--steps", "2",
+            "--initial", str(initial),
+        )
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [
+        "warning: unstable rapidity spectrum; moments amplify without bound",
+        "error: means overflow the float range on this grid",
     ]
 
 

@@ -16,6 +16,7 @@ from thirdq import (
     NumericalError,
     build_structure,
     mean_source,
+    moment_steps,
     moment_trajectory,
     physical_correlators,
     rapidities,
@@ -29,9 +30,11 @@ from thirdq import (
 )
 from thirdq.cli import main
 from thirdq.codec import model_to_document
+from thirdq.ness import _moment_step
 
 from conftest import (
     closed_model,
+    dense_chain_model,
     fit_decay_slope,
     random_stable_model,
     sec4_model,
@@ -311,6 +314,70 @@ def test_overflowing_moments_are_refused():
             moment_trajectory(struct.X, struct.Y, None, C0, np.ones(2), [0.0, 1000.0, 2000.0])
         with pytest.raises(NumericalError, match="^means overflow"):
             moment_trajectory(struct.X, struct.Y, None, C0, np.full(2, 1e300), [0.0, 40.0])
+        # the steps refuse alike, and no numpy warning leaks out of them
+        with pytest.raises(NumericalError, match="^covariance overflows"):
+            list(moment_steps(struct.X, struct.Y, None, C0, np.ones(2), [0.0, 1000.0, 2000.0]))
+        with pytest.raises(NumericalError, match="^means overflow"):
+            list(moment_steps(struct.X, struct.Y, None, C0, np.full(2, 1e300), [0.0, 40.0]))
+        # means that overflow at t = 40 and a covariance that overflows near
+        # t = 709: the covariance is named, as it is anywhere on the grid
+        times = np.arange(0.0, 1001.0, 40.0)
+        m0 = np.full(2, 1e300)
+        with pytest.raises(NumericalError, match="^covariance overflows"):
+            moment_trajectory(struct.X, struct.Y, None, C0, m0, times)
+        with pytest.raises(NumericalError, match="^covariance overflows"):
+            list(moment_steps(struct.X, struct.Y, None, C0, m0, times))
+
+
+def _stacked_loop(X, Y, g, C0, m0, times):
+    """The moments as a loop that fills whole (T, 2n, 2n) and (T, 2n) arrays."""
+    X, Y, g = (np.asarray(A, dtype=complex) for A in (X, Y, g))
+    C0, m0 = np.asarray(C0, dtype=complex), np.asarray(m0, dtype=complex)
+    times = np.asarray(times, dtype=float)
+    C0 = (C0 + C0.T) / 2
+    F, Q, b = _moment_step(X, Y, g, float(times[0]))
+    C = np.empty((times.size,) + C0.shape, dtype=complex)
+    m = np.empty((times.size, m0.size), dtype=complex)
+    Ci = F.T @ C0 @ F + Q
+    C[0] = (Ci + Ci.T) / 2
+    m[0] = F.T @ m0 + b
+    F, Q, b = _moment_step(X, Y, g, float(times[1] - times[0]))
+    for i in range(1, times.size):
+        Ci = F.T @ C[i - 1] @ F + Q
+        C[i] = (Ci + Ci.T) / 2
+        m[i] = F.T @ m[i - 1] + b
+    return C, m
+
+
+@pytest.mark.parametrize("case", ["forced-chain", "unstable", "mean", "no-state-C0"])
+def test_moment_steps_stack_to_the_trajectory(rng, case):
+    # bit for bit, against each other and against the whole-array loop
+    if case == "unstable":
+        model = unstable_sec4_model()
+    else:
+        chain = dense_chain_model(rng, 4)
+        forces = rng.normal(size=4) + 1j * rng.normal(size=4)
+        channels = list(zip(chain.l, chain.k))
+        model = validate_model(4, chain.H, chain.K, channels, forces=forces)
+    struct = build_structure(model)
+    two_n = 2 * model.n
+    g = mean_source(model)
+    C0 = np.zeros((two_n, two_n), dtype=complex)
+    m0 = np.zeros(two_n, dtype=complex)
+    if case == "mean":
+        m0 = rng.normal(size=two_n) + 1j * rng.normal(size=two_n)
+    if case == "no-state-C0":
+        C0 = _random_symmetric(rng, two_n)  # <a† a> not Hermitian, say
+    times = np.linspace(0.5, 8.0, 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        steps = list(moment_steps(struct.X, struct.Y, g, C0, m0, times))
+    traj = moment_trajectory(struct.X, struct.Y, g, C0, m0, times)
+    C_loop, m_loop = _stacked_loop(struct.X, struct.Y, g, C0, m0, times)
+    C, m = np.stack([C for C, _ in steps]), np.stack([m for _, m in steps])
+    for ours, theirs in ((C, traj.C), (m, traj.m), (C, C_loop), (m, m_loop)):
+        assert np.array_equal(ours, theirs)
+    assert len({id(C) for C, _ in steps}) == times.size  # a fresh array per step
 
 
 def _ep5_model(gain=0.0):
