@@ -42,7 +42,6 @@ from .spectral import (
     DecaySpectrum,
     RapiditySpectrum,
     Stability,
-    SymplecticV,
     build_V,
     classify_stability,
     liouville_spectrum,
@@ -59,11 +58,9 @@ from .lyapunov import (
     solve_schur,
 )
 from .ness import (
-    MomentTrajectory,
     NessSolution,
     mean_source,
     moment_steps,
-    moment_trajectory,
     physical_correlators,
     require_state_moments,
     steady_mean,

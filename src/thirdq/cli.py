@@ -171,7 +171,7 @@ def cmd_dynamics(args) -> int:
     # row i holds the printed moments of step i, so one step of C is alive;
     # a complex array viewed as floats is its [re, im] pairs, and csv_lines
     # folds negative zero
-    g = mean_source(model) if model.has_linear_terms else None
+    g = mean_source(model)
     table = np.empty((times.size, len(header)))
     table[:, 0] = times
     occ, aa = slice(1, n + 1), slice(n + 1, n + 1 + 2 * rows.size)

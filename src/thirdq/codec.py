@@ -391,6 +391,7 @@ def load_initial_state(path: str, two_n: int) -> tuple[np.ndarray, np.ndarray]:
     doc, _ = _read_json(path, "initial-state file")
     if not isinstance(doc, dict) or "C0" not in doc:
         raise SchemaError("initial-state file must be an object with a C0 matrix")
+    _check_keys(doc, "initial-state file", ("C0",), ("C0", "m0"))
     # the shape and finiteness checks of model matrices
     C0 = as_complex_matrix(_from_pair_matrix(doc["C0"], "C0"), two_n, "C0")
     m0 = (

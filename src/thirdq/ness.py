@@ -21,7 +21,12 @@ source assembled from linear forces f and channel offsets lambda_mu:
 
 Both flows relax under the same X, so one block exponential (Van Loan, IEEE
 Trans. Autom. Control 23:395, 1978) gives the exact step of both for any X,
-stable or not, and :func:`moment_trajectory` carries them together.  Both
+stable or not.  :func:`moment_steps` is the one propagator: given the arrays
+``g``, ``C0`` and ``m0``, it yields ``(C, m)`` one time of a uniform grid at
+a time, and a caller that wants the whole grid stacks the steps.  It refuses
+a bad grid, initial moments or source of the wrong size or not finite, and
+a non-symmetric ``C0`` as bad input, and overflowing moments as a numerical
+error, naming the covariance first wherever on the grid it overflows.  Both
 rate constants are certified against the brute-force oracle in the test
 suite.
 """
@@ -41,7 +46,7 @@ from .errors import (
     NotStable,
     NumericalError,
 )
-from .model import BosonicModel, deviation, float_scale
+from .model import BosonicModel, as_complex_matrix, as_complex_vector, deviation, float_scale
 from .spectral import RapiditySpectrum, Stability
 
 
@@ -54,15 +59,6 @@ class NessSolution:
     pair_adad: np.ndarray
     normal_ad_a: np.ndarray
     occupations: np.ndarray
-
-
-@dataclass(frozen=True)
-class MomentTrajectory:
-    """Covariances C (T, 2n, 2n) and first moments m (T, 2n) on a time grid."""
-
-    times: np.ndarray
-    C: np.ndarray
-    m: np.ndarray
 
 
 def physical_correlators(Z: np.ndarray, n: int, tol: float = 1e-8) -> NessSolution:
@@ -98,7 +94,9 @@ def wick_moment(Z: np.ndarray, indices) -> complex:
         raise IndexOutOfRange(f"expected 4 correlator slots, got {len(idx)}")
     dim = Z.shape[0]
     for i in idx:
-        if not (0 <= int(i) < dim):
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+            raise IndexOutOfRange(f"slot {i!r} is not an integer")
+        if not (0 <= i < dim):
             raise IndexOutOfRange(f"slot {i} outside 0..{dim - 1}")
     p, q, r, s = (int(i) for i in idx)
     return complex(Z[p, q] * Z[r, s] + Z[p, r] * Z[q, s] + Z[p, s] * Z[q, r])
@@ -192,17 +190,23 @@ def _moment_step(X: np.ndarray, Y: np.ndarray, g: np.ndarray, h: float):
 def moment_steps(
     X: np.ndarray,
     Y: np.ndarray,
-    g: np.ndarray | None,
+    g: np.ndarray,
     C0: np.ndarray,
-    m0: np.ndarray | None,
+    m0: np.ndarray,
     times,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield ``(C, m)`` at each time of a uniform grid, one step at a time.
+    """Solve dC/dt = 2 (Y - X^T C - C X) and dm/dt = -2 X^T m + g on a uniform grid.
 
-    The moments of :func:`moment_trajectory`, bit for bit, with one time
-    step of them alive; each yielded pair is a fresh array.  Refusals come
-    as the steps are drawn: a bad grid or ``C0`` at the first draw, an
-    overflowing covariance at its step, and overflowing means after the
+    Starts from C(0) = C0 and m(0) = m0 and yields ``(C, m)`` at each time in
+    turn, one step of them alive; each yielded pair is a fresh array.  Exact
+    for any spectrum of X: one propagator step from 0 to the first time,
+    then one per grid interval.  Refusals come as the steps are drawn, all
+    of them :class:`InputError` until the first step: at the first draw, a
+    grid that is not non-negative, ascending and uniform, then a ``C0``,
+    ``m0`` or ``g`` that is not finite or not the size of X
+    (:class:`DimensionMismatch`), then a ``C0`` that is not symmetric
+    (:class:`NonSymmetricInitial`); then :class:`NumericalError` for an
+    overflowing covariance at its step and for overflowing means after the
     last step, so that a covariance that overflows anywhere on the grid is
     named first.
     """
@@ -211,10 +215,10 @@ def moment_steps(
     with np.errstate(over="ignore", invalid="ignore"):
         X = np.asarray(X, dtype=complex)
         Y = np.asarray(Y, dtype=complex)
-        C = np.asarray(C0, dtype=complex)
-        g = np.zeros(len(X), dtype=complex) if g is None else np.asarray(g, dtype=complex)
-        m = np.zeros(len(X), dtype=complex) if m0 is None else np.asarray(m0, dtype=complex)
         times, h = _uniform_grid(times)
+        C = as_complex_matrix(C0, len(X), "C0")
+        m = as_complex_vector(m0, len(X), "m0")
+        g = as_complex_vector(g, len(X), "g")
         dev, too_large = deviation(C, C.T, 1e-8)
         if too_large:
             raise NonSymmetricInitial(f"C0 deviates from symmetry by {dev:.3e}")
@@ -234,33 +238,6 @@ def moment_steps(
         yield C, m
     if not means_finite:
         raise NumericalError("means overflow the float range on this grid")
-
-
-@np.errstate(over="ignore", invalid="ignore")  # an overflowing grid is refused
-def moment_trajectory(
-    X: np.ndarray,
-    Y: np.ndarray,
-    g: np.ndarray | None,
-    C0: np.ndarray,
-    m0: np.ndarray | None,
-    times,
-) -> MomentTrajectory:
-    """Solve dC/dt = 2 (Y - X^T C - C X) and dm/dt = -2 X^T m + g on a uniform grid.
-
-    Starts from C(0) = C0 and m(0) = m0; ``g = None`` is no source and
-    ``m0 = None`` the zero mean.  Exact for any spectrum of X: one
-    propagator step from 0 to the first time, then one per grid interval.
-    A grid that is not non-negative, ascending and uniform raises
-    :class:`InputError`; moments that overflow raise :class:`NumericalError`,
-    the covariance checked first.  The stack of :func:`moment_steps`.
-    """
-    times, _ = _uniform_grid(times)
-    two_n = len(X)
-    C = np.empty((times.size, two_n, two_n), dtype=complex)
-    m = np.empty((times.size, two_n), dtype=complex)
-    for i, (C_i, m_i) in enumerate(moment_steps(X, Y, g, C0, m0, times)):
-        C[i], m[i] = C_i, m_i
-    return MomentTrajectory(times=times, C=C, m=m)
 
 
 def mean_source(model: BosonicModel) -> np.ndarray:

@@ -33,6 +33,9 @@ DEFAULT_TOL_MARGINAL = 1e-10
 COND_DEFECTIVE = 1e12
 COND_WARN = 1e8
 COUNT_LIMIT = 1_000_000
+# build_V's certificates: V^T J V = J and the normal form of J S
+TOL_SYMPLECTIC = 1e-9
+TOL_SIMILARITY = 1e-8
 
 
 class Stability(enum.Enum):
@@ -71,12 +74,6 @@ class DecaySpectrum:
 
     def __len__(self) -> int:
         return self.lam.size
-
-
-@dataclass(frozen=True)
-class SymplecticV:
-    V: np.ndarray
-    Z_used: np.ndarray
 
 
 def classify_stability(beta, tol_marginal: float = DEFAULT_TOL_MARGINAL) -> Stability:
@@ -219,17 +216,16 @@ def build_V(
     Z: np.ndarray,
     structure: StructureMatrices | None = None,
     beta=None,
-    tol_symplectic: float = 1e-9,
-    tol_similarity: float = 1e-8,
-) -> SymplecticV:
+) -> np.ndarray:
     """Assemble the symplectic eigenvector matrix V = (P^T (+) P^-1) [[I, -Z], [0, I]].
 
-    V is certified against V^T J V = J with J = i sigma_y (x) I.  When the
-    structure matrices and rapidities are supplied, the block matrix
-    J S = [[-X^T, Y], [0, X]] is additionally checked to be similar to
-    (-Delta) (+) Delta under V; failure of either check flags an inconsistent
-    (X, Z) pair.  A P with cond(P) above ``COND_DEFECTIVE`` is refused first
-    (:func:`require_diagonalizable`).
+    V is certified against V^T J V = J with J = i sigma_y (x) I, to
+    ``TOL_SYMPLECTIC`` max(1, |Z|_F).  When the structure matrices and
+    rapidities are supplied, the block matrix J S = [[-X^T, Y], [0, X]] is
+    additionally checked to be similar to (-Delta) (+) Delta under V, to
+    ``TOL_SIMILARITY`` max(1, |J S|_F); failure of either check flags an
+    inconsistent (X, Z) pair.  A P with cond(P) above ``COND_DEFECTIVE`` is
+    refused first (:func:`require_diagonalizable`).
     """
     P = np.asarray(P, dtype=complex)
     Z = np.asarray(Z, dtype=complex)
@@ -243,7 +239,7 @@ def build_V(
 
     J = _symplectic_unit(two_n)
     dev = np.linalg.norm(V.T @ J @ V - J)
-    if dev > tol_symplectic * max(1.0, np.linalg.norm(Z)):
+    if dev > TOL_SYMPLECTIC * max(1.0, np.linalg.norm(Z)):
         raise SymplecticityViolation(
             f"V^T J V deviates from J by {dev:.3e}; Z is not symmetric "
             "or inconsistent with P"
@@ -263,9 +259,9 @@ def build_V(
         Vinv[:two_n, two_n:] = Z @ P
         Vinv[two_n:, two_n:] = P
         resid = np.linalg.norm(V @ JS @ Vinv - D)
-        if resid > tol_similarity * max(1.0, np.linalg.norm(JS)):
+        if resid > TOL_SIMILARITY * max(1.0, np.linalg.norm(JS)):
             raise SymplecticityViolation(
                 f"V does not bring J S to normal form (residual {resid:.3e}); "
                 "Z does not solve the Lyapunov equation for this X"
             )
-    return SymplecticV(V=V, Z_used=Z)
+    return V

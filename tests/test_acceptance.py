@@ -18,7 +18,7 @@ from thirdq import (
     build_structure,
     build_V,
     liouville_spectrum,
-    moment_trajectory,
+    moment_steps,
     oracle_evolve,
     oracle_spectrum,
     physical_correlators,
@@ -159,13 +159,13 @@ def test_criterion_5_property_suite(suite):
             worst["conj"], multiset_max_delta(spectrum.beta, spectrum.beta.conj())
         )
 
-        sv = build_V(spectrum.P, sol.Z)
+        V = build_V(spectrum.P, sol.Z)
         two_n = struct.X.shape[0]
         J = np.zeros((2 * two_n, 2 * two_n), dtype=complex)
         J[:two_n, two_n:] = np.eye(two_n)
         J[two_n:, :two_n] = -np.eye(two_n)
         worst["sympl"] = max(
-            worst["sympl"], np.linalg.norm(sv.V.T @ J @ sv.V - J)
+            worst["sympl"], np.linalg.norm(V.T @ J @ V - J)
         )
 
         n = model.n
@@ -233,8 +233,8 @@ def test_criterion_6_dynamics_decay_slope(sec4_liouvillean):
     times = np.linspace(2.0, 20.0, 37)
 
     # first moments: Delta; no forces or offsets, so m* = 0
-    m0 = np.array([1.0, 1.0], dtype=complex)
-    means = moment_trajectory(struct.X, struct.Y, None, np.zeros((2, 2)), m0, times).m
+    zero, C0, m0 = np.zeros(2), np.zeros((2, 2)), np.array([1.0, 1.0], dtype=complex)
+    _, means = map(np.array, zip(*moment_steps(struct.X, struct.Y, zero, C0, m0, times)))
     slope = fit_decay_slope(times, np.linalg.norm(means, axis=1))
     oracle = oracle_evolve(sec4_liouvillean, _coherent_state(sec4_liouvillean, 1.0), times)
     oracle_slope = fit_decay_slope(times, np.linalg.norm(oracle.means, axis=1))
@@ -242,8 +242,8 @@ def test_criterion_6_dynamics_decay_slope(sec4_liouvillean):
 
     # covariance: slowest two-excitation rate, 2 Delta
     Z = solve(struct.X, struct.Y, spectrum).Z
-    traj = moment_trajectory(struct.X, struct.Y, None, np.zeros((2, 2)), None, times)
-    cov_slope = fit_decay_slope(times, [np.linalg.norm(C - Z) for C in traj.C])
+    steps = moment_steps(struct.X, struct.Y, zero, C0, zero, times)
+    cov_slope = fit_decay_slope(times, [np.linalg.norm(C - Z) for C, _ in steps])
     modes = liouville_spectrum(spectrum, 2)
     two_rate = min(-modes.lam.real[modes.m.sum(axis=1) == 2])
 
@@ -278,9 +278,10 @@ def test_criterion_6_dynamics_oracle_pointwise(sec4_liouvillean):
     model = sec4_model()
     struct = build_structure(model)
     times = np.linspace(0.0, 12.0, 25)
-    analytic = moment_trajectory(struct.X, struct.Y, None, np.zeros((2, 2)), None, times)
+    zero, C0 = np.zeros(2), np.zeros((2, 2))
+    C, _ = map(np.array, zip(*moment_steps(struct.X, struct.Y, zero, C0, zero, times)))
     oracle = oracle_evolve(sec4_liouvillean, vacuum_state(sec4_liouvillean), times)
-    delta = np.abs(analytic.C - oracle.cov).max()
+    delta = np.abs(C - oracle.cov).max()
     ok = delta <= 1e-5
     _report(6, ok, f"oracle pointwise max delta {delta:.2e}")
     assert delta <= 1e-5

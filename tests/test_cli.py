@@ -1059,6 +1059,29 @@ def test_initial_moments_of_no_state_are_bad_input(tmp_path, capsys, initial, na
     assert err.startswith(f"error: {name} is not the moments of any state")
 
 
+@pytest.mark.parametrize(
+    "initial, message",
+    [
+        # a misspelt m0 is refused, as an unknown model key is, not read as zero
+        ({"C0": ZERO_C0, "mo": [[1.0, 0.0]] * 2}, "initial-state file: unknown key 'mo'"),
+        ([ZERO_C0], "initial-state file must be an object with a C0 matrix"),
+        ({"m0": [[0.0, 0.0]] * 2}, "initial-state file must be an object with a C0 matrix"),
+    ],
+    ids=["unknown-key", "not-an-object", "no-C0"],
+)
+def test_initial_state_file_keys_are_checked(tmp_path, capsys, initial, message):
+    path = write_model(tmp_path, sec4_document())
+    file = tmp_path / "initial.json"
+    file.write_text(json.dumps(initial))
+    code, out, err = run_cli(
+        capsys, "dynamics", "--model", path, "--t1", "1", "--steps", "2",
+        "--initial", str(file),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_pure_squeezed_initial_state_is_accepted(tmp_path, capsys):
     # a squeezed vacuum saturates |<aa>|^2 = <a†a>(<a†a> + 1): its <b_i† b_j>
     # has the eigenvalue 0, which only the commutator term keeps from

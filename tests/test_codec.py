@@ -19,7 +19,7 @@ from thirdq import codec
 from thirdq.cli import main
 from thirdq.codec import document_to_model, model_to_document
 from thirdq.model import validate_model
-from thirdq.ness import mean_source, moment_trajectory
+from thirdq.ness import mean_source, moment_steps
 from thirdq.spectral import liouville_spectrum, rapidities
 from thirdq.structure import build_structure
 
@@ -141,10 +141,10 @@ def _dynamics_reference(model, times):
     """The table ``dynamics`` writes from the vacuum, cell by cell."""
     struct = build_structure(model)
     n, two_n = model.n, 2 * model.n
-    traj = moment_trajectory(
-        struct.X, struct.Y, mean_source(model), np.zeros((two_n, two_n)), None, times
+    vacuum = np.zeros((two_n, two_n)), np.zeros(two_n)
+    C, means = map(
+        np.array, zip(*moment_steps(struct.X, struct.Y, mean_source(model), *vacuum, times))
     )
-    C, means = traj.C, traj.m
     lines = []
     for i, t in enumerate(times):
         row = [codec.fmt(t)] + [codec.fmt(C[i, j, n + j].real) for j in range(n)]

@@ -71,6 +71,21 @@ def test_imports_leave_the_oracle_unloaded_until_used():
     assert result.returncode == 0, result.stderr
 
 
+# every exported or listed name resolves, the lazy ones through their module;
+# prints the names that do not
+EXPORTS_RESOLVE = """
+import thirdq
+names = sorted(set(thirdq.__all__) | set(dir(thirdq)))
+print(" ".join(name for name in names if not hasattr(thirdq, name)))
+"""
+
+
+def test_every_exported_name_resolves():
+    result = run_fresh(EXPORTS_RESOLVE)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == []
+
+
 # prints whether scipy is loaded after one command in a fresh interpreter
 SCIPY_AFTER_COMMAND = """
 import contextlib, io, sys

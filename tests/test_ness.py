@@ -9,6 +9,7 @@ import scipy.linalg
 from thirdq import (
     AsymmetricZ,
     DefectiveX,
+    DimensionMismatch,
     IndexOutOfRange,
     InputError,
     NonSymmetricInitial,
@@ -17,7 +18,6 @@ from thirdq import (
     build_structure,
     mean_source,
     moment_steps,
-    moment_trajectory,
     physical_correlators,
     rapidities,
     require_diagonalizable,
@@ -100,11 +100,23 @@ def test_wick_index_validation():
         wick_moment(np.zeros((2, 2)), (0, 1, 0))
 
 
+@pytest.mark.parametrize(
+    "slot",
+    [0.7, -0.5, 1.0, True, np.bool_(False), "0"],
+    ids=["0.7", "-0.5", "1.0", "True", "numpy-False", "string-0"],
+)
+def test_wick_refuses_slots_that_are_not_integers(slot):
+    # int() would read 0.7 and -0.5 as slot 0 and True as slot 1
+    with pytest.raises(IndexOutOfRange, match="is not an integer"):
+        wick_moment(np.eye(2), (slot, 0, 0, 0))
+    assert wick_moment(np.eye(2), (np.int64(1), np.uint8(0), 1, 0)) == 1
+
+
 def test_fixed_point_is_stationary():
     struct, _, sol = _sec4_solution()
     times = np.linspace(0.0, 8.0, 9)
-    traj = moment_trajectory(struct.X, struct.Y, None, sol.Z, None, times)
-    for C in traj.C:
+    zero = np.zeros(2)
+    for C, _ in moment_steps(struct.X, struct.Y, zero, sol.Z, zero, times):
         assert np.allclose(C, sol.Z, atol=1e-12, rtol=0)
 
 
@@ -112,8 +124,9 @@ def test_vacuum_relaxation_closed_form():
     # occupation from vacuum follows n_ss (1 - exp(-2 (u - v) t)) exactly
     struct, _, sol = _sec4_solution()
     times = np.linspace(0.0, 12.0, 25)
-    traj = moment_trajectory(struct.X, struct.Y, None, np.zeros((2, 2)), None, times)
-    occ = traj.C[:, 0, 1].real
+    zero, C0 = np.zeros(2), np.zeros((2, 2))
+    C, _ = map(np.array, zip(*moment_steps(struct.X, struct.Y, zero, C0, zero, times)))
+    occ = C[:, 0, 1].real
     assert np.allclose(occ, 1.0 - np.exp(-times), atol=1e-12, rtol=0)
 
 
@@ -122,8 +135,9 @@ def test_distance_to_fixed_point_decay_rate():
     # twice the one-excitation gap for this instance
     struct, sp, sol = _sec4_solution()
     times = np.linspace(2.0, 20.0, 19)
-    traj = moment_trajectory(struct.X, struct.Y, None, np.zeros((2, 2)), None, times)
-    dist = np.array([np.linalg.norm(C - sol.Z) for C in traj.C])
+    zero = np.zeros(2)
+    steps = moment_steps(struct.X, struct.Y, zero, np.zeros((2, 2)), zero, times)
+    dist = np.array([np.linalg.norm(C - sol.Z) for C, _ in steps])
     slope = fit_decay_slope(times, dist)
     gap = spectral_gap(sp)
     assert slope == pytest.approx(2.0 * gap, rel=0.05)
@@ -134,8 +148,9 @@ def test_distance_to_fixed_point_decay_rate():
 def test_unstable_growth_is_unbounded():
     struct = build_structure(unstable_sec4_model())
     times = np.linspace(0.0, 10.0, 11)
-    traj = moment_trajectory(struct.X, struct.Y, None, np.zeros((2, 2)), None, times)
-    norms = np.array([np.linalg.norm(C) for C in traj.C])
+    zero = np.zeros(2)
+    steps = moment_steps(struct.X, struct.Y, zero, np.zeros((2, 2)), zero, times)
+    norms = np.array([np.linalg.norm(C) for C, _ in steps])
     assert np.all(np.diff(norms) > 0)
     assert norms[-1] > 50 * norms[1]
 
@@ -144,31 +159,49 @@ def test_closed_system_occupation_conserved():
     struct = build_structure(closed_model(omega=1.3))
     C0 = np.array([[0.0, 0.7], [0.7, 0.0]], dtype=complex)
     times = np.linspace(0.0, 20.0, 21)
-    traj = moment_trajectory(struct.X, struct.Y, None, C0, None, times)
-    occ = traj.C[:, 0, 1].real
+    zero = np.zeros(2)
+    C, _ = map(np.array, zip(*moment_steps(struct.X, struct.Y, zero, C0, zero, times)))
+    occ = C[:, 0, 1].real
     assert np.abs(occ - 0.7).max() <= 1e-7
-    norms = [np.linalg.norm(C) for C in traj.C]
+    norms = np.linalg.norm(C, axis=(1, 2))
     assert max(norms) <= 2 * norms[0] + 1e-9
 
 
 def test_initial_condition_validation():
     struct, _, _ = _sec4_solution()
+    zero = np.zeros(2)
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(NonSymmetricInitial) as refusal:
-        moment_trajectory(struct.X, struct.Y, None, bad, None, [0.0, 1.0])
+        list(moment_steps(struct.X, struct.Y, zero, bad, zero, [0.0, 1.0]))
     assert isinstance(refusal.value, InputError)  # bad input, exit 2
     huge = np.array([[1e200, 3e200], [-1e200, 1e200]])  # |C0 - C0^T|_F overflows
     with pytest.raises(NonSymmetricInitial):
-        moment_trajectory(struct.X, struct.Y, None, huge, None, [0.0, 1.0])
+        list(moment_steps(struct.X, struct.Y, zero, huge, zero, [0.0, 1.0]))
     with pytest.raises(InputError):
-        moment_trajectory(struct.X, struct.Y, None, np.zeros((2, 2)), None, [1.0, 0.5])
+        list(moment_steps(struct.X, struct.Y, zero, np.zeros((2, 2)), zero, [1.0, 0.5]))
+
+
+@pytest.mark.parametrize(
+    "C0, m0, g, name",
+    [
+        (np.zeros((3, 3)), np.zeros(2), np.zeros(2), "C0"),
+        (np.zeros((2, 3)), np.zeros(2), np.zeros(2), "C0"),
+        (np.zeros((2, 2)), np.zeros(3), np.zeros(2), "m0"),
+        (np.zeros((2, 2)), np.zeros(2), np.zeros(3), "g"),
+    ],
+    ids=["C0-3x3", "C0-2x3", "m0-length-3", "g-length-3"],
+)
+def test_moments_not_the_size_of_X_are_refused(C0, m0, g, name):
+    struct, _, _ = _sec4_solution()
+    with pytest.raises(DimensionMismatch, match=f"^{name} must"):
+        list(moment_steps(struct.X, struct.Y, g, C0, m0, [0.0, 1.0]))
 
 
 def test_homogeneous_mean_decay():
     struct, _, _ = _sec4_solution()
     times = np.linspace(0.0, 6.0, 13)
-    m0 = np.array([1.0, 1.0], dtype=complex)
-    m = moment_trajectory(struct.X, struct.Y, None, np.zeros((2, 2)), m0, times).m
+    g, C0, m0 = np.zeros(2), np.zeros((2, 2)), np.array([1.0, 1.0], dtype=complex)
+    _, m = map(np.array, zip(*moment_steps(struct.X, struct.Y, g, C0, m0, times)))
     # |<a>(t)| = exp(-(u - v) t / 1) with the (0.5 + i) complex rate
     assert np.allclose(np.abs(m[:, 0]), np.exp(-0.5 * times), atol=1e-12, rtol=0)
     expected = np.exp(-(0.5 + 1.0j) * times)
@@ -188,8 +221,8 @@ def test_steady_mean_solves_linear_system(rng):
     mstar = steady_mean(struct.X, g, sp)
     assert np.allclose(2.0 * struct.X.T @ mstar, g, atol=1e-10)
     times = np.linspace(0.0, 30.0 / spectral_gap(sp), 8)
-    C0 = np.zeros((2 * model.n, 2 * model.n))
-    m = moment_trajectory(struct.X, struct.Y, g, C0, None, times).m
+    C0, m0 = np.zeros((2 * model.n, 2 * model.n)), np.zeros(2 * model.n)
+    _, m = map(np.array, zip(*moment_steps(struct.X, struct.Y, g, C0, m0, times)))
     assert np.allclose(m[-1], mstar, atol=1e-8)
 
 
@@ -254,8 +287,7 @@ def test_unstable_trajectories_match_closed_form(rng):
     m0 = rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)
     times = np.linspace(0.0, 10.0, 101)
     C_ref, m_ref = _closed_form(struct.X, struct.Y, g, C0, m0, times)
-    traj = moment_trajectory(struct.X, struct.Y, g, C0, m0, times)
-    C, m = traj.C, traj.m
+    C, m = map(np.array, zip(*moment_steps(struct.X, struct.Y, g, C0, m0, times)))
     assert _rel(C, C_ref) <= 1e-12
     assert _rel(m, m_ref) <= 1e-12
 
@@ -270,8 +302,7 @@ def test_stable_trajectories_late_and_long(rng, grid):
     m0 = rng.normal(size=6) + 1j * rng.normal(size=6)
     times = np.linspace(*grid)
     C_ref, m_ref = _closed_form(struct.X, struct.Y, g, C0, m0, times)
-    traj = moment_trajectory(struct.X, struct.Y, g, C0, m0, times)
-    C, m = traj.C, traj.m
+    C, m = map(np.array, zip(*moment_steps(struct.X, struct.Y, g, C0, m0, times)))
     assert np.all(np.isfinite(C)) and np.all(np.isfinite(m))
     assert _rel(C, C_ref) <= 1e-12
     assert _rel(m, m_ref) <= 1e-12
@@ -280,24 +311,27 @@ def test_stable_trajectories_late_and_long(rng, grid):
 def test_non_uniform_grid_is_bad_input():
     struct, _, _ = _sec4_solution()
     times = [0.0, 1.0, 3.0]
+    g, C0 = np.zeros(2), np.zeros((2, 2))
     with pytest.raises(InputError):
-        moment_trajectory(struct.X, struct.Y, None, np.zeros((2, 2)), np.ones(2), times)
+        list(moment_steps(struct.X, struct.Y, g, C0, np.ones(2), times))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_grid_is_bad_input(bad):
     struct, _, _ = _sec4_solution()
     times = [0.0, bad]
+    g, C0 = np.zeros(2), np.zeros((2, 2))
     with pytest.raises(InputError):
-        moment_trajectory(struct.X, struct.Y, None, np.zeros((2, 2)), np.ones(2), times)
+        list(moment_steps(struct.X, struct.Y, g, C0, np.ones(2), times))
 
 
 def test_mean_single_late_time(rng):
     model, struct, _ = random_stable_model(rng, n=2)
     g = rng.normal(size=4) + 1j * rng.normal(size=4)
     m0 = rng.normal(size=4) + 1j * rng.normal(size=4)
-    m = moment_trajectory(struct.X, struct.Y, g, np.zeros((4, 4)), m0, [2.5]).m
-    _, m_ref = _closed_form(struct.X, struct.Y, g, np.zeros((4, 4)), m0, [2.5])
+    C0 = np.zeros((4, 4))
+    _, m = map(np.array, zip(*moment_steps(struct.X, struct.Y, g, C0, m0, [2.5])))
+    _, m_ref = _closed_form(struct.X, struct.Y, g, C0, m0, [2.5])
     assert m.shape == (1, 4)
     assert _rel(m, m_ref) <= 1e-12
 
@@ -307,26 +341,18 @@ def test_overflowing_moments_are_refused():
     # t = 2000, and the covariance is named first; a mean of 1e300 leaves it
     # by t = 40, where C is still near e^40
     struct = build_structure(unstable_sec4_model())
-    C0 = np.zeros((2, 2))
+    g, C0 = np.zeros(2), np.zeros((2, 2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the refusal is the only message
         with pytest.raises(NumericalError, match="^covariance overflows"):
-            moment_trajectory(struct.X, struct.Y, None, C0, np.ones(2), [0.0, 1000.0, 2000.0])
+            list(moment_steps(struct.X, struct.Y, g, C0, np.ones(2), [0.0, 1000.0, 2000.0]))
         with pytest.raises(NumericalError, match="^means overflow"):
-            moment_trajectory(struct.X, struct.Y, None, C0, np.full(2, 1e300), [0.0, 40.0])
-        # the steps refuse alike, and no numpy warning leaks out of them
-        with pytest.raises(NumericalError, match="^covariance overflows"):
-            list(moment_steps(struct.X, struct.Y, None, C0, np.ones(2), [0.0, 1000.0, 2000.0]))
-        with pytest.raises(NumericalError, match="^means overflow"):
-            list(moment_steps(struct.X, struct.Y, None, C0, np.full(2, 1e300), [0.0, 40.0]))
+            list(moment_steps(struct.X, struct.Y, g, C0, np.full(2, 1e300), [0.0, 40.0]))
         # means that overflow at t = 40 and a covariance that overflows near
         # t = 709: the covariance is named, as it is anywhere on the grid
         times = np.arange(0.0, 1001.0, 40.0)
-        m0 = np.full(2, 1e300)
         with pytest.raises(NumericalError, match="^covariance overflows"):
-            moment_trajectory(struct.X, struct.Y, None, C0, m0, times)
-        with pytest.raises(NumericalError, match="^covariance overflows"):
-            list(moment_steps(struct.X, struct.Y, None, C0, m0, times))
+            list(moment_steps(struct.X, struct.Y, g, C0, np.full(2, 1e300), times))
 
 
 def _stacked_loop(X, Y, g, C0, m0, times):
@@ -351,7 +377,7 @@ def _stacked_loop(X, Y, g, C0, m0, times):
 
 @pytest.mark.parametrize("case", ["forced-chain", "unstable", "mean", "no-state-C0"])
 def test_moment_steps_stack_to_the_trajectory(rng, case):
-    # bit for bit, against each other and against the whole-array loop
+    # bit for bit against the whole-array loop
     if case == "unstable":
         model = unstable_sec4_model()
     else:
@@ -372,11 +398,9 @@ def test_moment_steps_stack_to_the_trajectory(rng, case):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         steps = list(moment_steps(struct.X, struct.Y, g, C0, m0, times))
-    traj = moment_trajectory(struct.X, struct.Y, g, C0, m0, times)
     C_loop, m_loop = _stacked_loop(struct.X, struct.Y, g, C0, m0, times)
     C, m = np.stack([C for C, _ in steps]), np.stack([m for _, m in steps])
-    for ours, theirs in ((C, traj.C), (m, traj.m), (C, C_loop), (m, m_loop)):
-        assert np.array_equal(ours, theirs)
+    assert np.array_equal(C, C_loop) and np.array_equal(m, m_loop)
     assert len({id(C) for C, _ in steps}) == times.size  # a fresh array per step
 
 

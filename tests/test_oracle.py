@@ -18,7 +18,7 @@ from thirdq import (
     build_liouvillean_matrix,
     build_structure,
     mean_source,
-    moment_trajectory,
+    moment_steps,
     oracle_evolve,
     oracle_spectrum,
     oracle_steady_state,
@@ -170,8 +170,9 @@ def test_evolution_matches_analytic_covariance():
     lio = build_liouvillean_matrix(model, 30)
     times = np.linspace(0.0, 10.0, 21)
     otraj = oracle_evolve(lio, vacuum_state(lio), times)
-    atraj = moment_trajectory(struct.X, struct.Y, None, np.zeros((2, 2)), None, times)
-    assert np.abs(otraj.cov - atraj.C).max() <= 1e-5
+    zero, C0 = np.zeros(2), np.zeros((2, 2))
+    C, _ = map(np.array, zip(*moment_steps(struct.X, struct.Y, zero, C0, zero, times)))
+    assert np.abs(otraj.cov - C).max() <= 1e-5
 
 
 def test_cutoff_convergence():
@@ -224,7 +225,8 @@ def test_mean_dynamics_validated_against_oracle():
     times = np.linspace(0.0, 12.0, 13)
     lio = build_liouvillean_matrix(model, 30)
     otraj = oracle_evolve(lio, vacuum_state(lio), times)
-    m = moment_trajectory(struct.X, struct.Y, g, np.zeros((2, 2)), None, times).m
+    C0, m0 = np.zeros((2, 2)), np.zeros(2)
+    _, m = map(np.array, zip(*moment_steps(struct.X, struct.Y, g, C0, m0, times)))
     assert np.abs(m - otraj.means).max() <= 1e-6
     # steady displacement against the brute-force steady state
     sp = rapidities(struct.X)

@@ -248,7 +248,7 @@ def test_conjugate_pair_property(rng):
 def test_symplectic_eigenbasis_reference():
     struct, sp = _sec4_spectrum()
     Z = solve(struct.X, struct.Y, sp).Z
-    sv = build_V(sp.P, Z, structure=struct, beta=sp.beta)
+    V = build_V(sp.P, Z, structure=struct, beta=sp.beta)
     two_n = 2
     J = np.block(
         [
@@ -256,12 +256,12 @@ def test_symplectic_eigenbasis_reference():
             [-np.eye(two_n), np.zeros((two_n, two_n))],
         ]
     )
-    assert np.linalg.norm(sv.V.T @ J @ sv.V - J) < 1e-10
+    assert np.linalg.norm(V.T @ J @ V - J) < 1e-10
 
 
 def test_symplectic_identity_case():
-    sv = build_V(np.eye(2), np.zeros((2, 2)))
-    assert np.array_equal(sv.V, np.eye(4))
+    V = build_V(np.eye(2), np.zeros((2, 2)))
+    assert np.array_equal(V, np.eye(4))
 
 
 def test_inconsistent_pair_detected():
@@ -281,18 +281,18 @@ def test_normal_form_reconstruction(rng):
     for _ in range(30):
         _, struct, sp = random_stable_model(rng)
         Z = solve(struct.X, struct.Y, sp).Z
-        sv = build_V(sp.P, Z, structure=struct, beta=sp.beta)
+        V = build_V(sp.P, Z, structure=struct, beta=sp.beta)
         two_n = struct.X.shape[0]
         JS = np.zeros((2 * two_n, 2 * two_n), dtype=complex)
         JS[:two_n, :two_n] = -struct.X.T
         JS[:two_n, two_n:] = struct.Y
         JS[two_n:, two_n:] = struct.X
         D = np.diag(np.concatenate([-sp.beta, sp.beta]))
-        Vinv = np.linalg.inv(sv.V)
+        Vinv = np.linalg.inv(V)
         norm_s = np.linalg.norm(
             np.block([[np.zeros_like(struct.X), -struct.X], [-struct.X.T, struct.Y]])
         )
-        assert np.linalg.norm(Vinv @ D @ sv.V - JS) <= 1e-8 * norm_s
+        assert np.linalg.norm(Vinv @ D @ V - JS) <= 1e-8 * norm_s
 
 
 def test_defective_x_rejected():
