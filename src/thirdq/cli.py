@@ -73,13 +73,8 @@ def cmd_analyze(args) -> int:
         "S0": pairs(struct.S0),
         "trace_identity_residual": float(trace_resid),
     }
-    text = report(
-        "analyze",
-        model_hash,
-        {"tol_input": args.tol, "tol_marginal": args.tol_marginal},
-        results,
-    )
-    emit(text, args.output)
+    tolerances = {"tol_input": args.tol, "tol_marginal": args.tol_marginal}
+    emit(report("analyze", model_hash, tolerances, results), args.output)
     return 0
 
 
@@ -98,17 +93,12 @@ def cmd_ness(args) -> int:
         "residual": float(sol.residual),
         "method": sol.method.value,
     }
-    text = report(
-        "ness",
-        model_hash,
-        {
-            "tol_input": args.tol,
-            "tol_marginal": args.tol_marginal,
-            "residual_tol": RESIDUAL_TOL,
-        },
-        results,
-    )
-    emit(text, args.output)
+    tolerances = {
+        "tol_input": args.tol,
+        "tol_marginal": args.tol_marginal,
+        "residual_tol": RESIDUAL_TOL,
+    }
+    emit(report("ness", model_hash, tolerances, results), args.output)
     return 0
 
 
@@ -203,8 +193,7 @@ def cmd_verify(args) -> int:
         tol_marginal=args.tol_marginal,
     )
     tolerances = {"tol_input": args.tol, "tol_marginal": args.tol_marginal, **gates}
-    text = report("verify", model_hash, tolerances, results)
-    emit(text, args.output)
+    emit(report("verify", model_hash, tolerances, results), args.output)
     if not results["pass"]:
         sys.stderr.write(f"verification failed: worst gate {results['worst']}\n")
         return 6

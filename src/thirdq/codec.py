@@ -4,8 +4,9 @@ Model files are JSON documents with complex scalars encoded as two-element
 ``[re, im]`` arrays (see ``schemas/model.schema.json``).  Reports are JSON
 with a fixed key order, laid out as the ``json`` module lays them out at an
 indent of 2; bulk numeric output (spectrum, dynamics, sweep) is CSV with a
-header row, comma separator and LF line endings.  Identical invocations
-produce byte-identical output:
+header row, comma separator and LF line endings.  Both are made as pieces
+that :func:`emit` writes as they come, so no whole output text is held.
+Identical invocations produce byte-identical output:
 
 * floats are written in the shortest round-trip decimal form (``repr``);
 * negative zero is written ``0.0`` in ``[re, im]`` pairs and CSV cells, and
@@ -21,6 +22,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
+import os
 import sys
 from collections.abc import Iterable, Iterator
 
@@ -146,19 +149,46 @@ def index_lines(table: np.ndarray, top: int) -> Iterator[str]:
         yield from map(",".join, digits[table[start : start + block]].tolist())
 
 
-def _json(value) -> str:
-    """``value`` as ``json`` writes it at an indent of 2, all arrays in one pass.
+def _json(value) -> Iterator[str]:
+    """``value`` as ``json`` writes it at an indent of 2, in pieces.
 
     Keys are strings.  A float array is written as its nested list, a complex
-    array as nested :func:`pairs`.  The whole document is laid out as one
-    ``%`` template with a slot per array value, and each distinct float of
-    the document is spelled once.
+    array as nested :func:`pairs`.  Each distinct float of the document's
+    arrays is spelled once; then each array is written a block of rows of its
+    first axis at a time, from a ``%`` template of at least ``_SLOTS`` slots
+    (fewer only in a short last block), so the spelled floats and one block
+    are alive, never the whole text.
     """
+    parts, spelled, where = _spelled_layout(value)
+    start = 0
+    for part in parts:
+        if isinstance(part, str):
+            yield part
+            continue
+        shape, level = part
+        size = math.prod(shape)
+        yield from _array_text(shape, level, spelled, where[start : start + size])
+        start += size
+
+
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_SLOTS = 1 << 12  # array values formatted by one % call
+
+
+def _spelled_layout(value) -> tuple[list, np.ndarray, np.ndarray]:
+    """Lay out ``value`` and spell each distinct float of its arrays once.
+
+    The layout is the text of ``value`` in order, with a ``(shape, level)``
+    tuple standing for each non-empty array.  ``spelled[where]`` are the
+    arrays' values in that order, each flattened in C order.  The arrays
+    themselves are not kept.
+    """
+    parts: list = []
     arrays: list[np.ndarray] = []
-    template = _layout(value, 0, arrays)
-    if not arrays:
-        return template % ()
-    floats = np.concatenate([np.ascontiguousarray(a, dtype=float).ravel() for a in arrays])
+    _layout(value, 0, parts, arrays)
+    flat = [np.asarray(a, dtype=float).ravel() for a in arrays] or [np.zeros(0)]
+    floats = np.concatenate(flat)
+    del arrays, flat  # the pairs of complex arrays are copies
     # each distinct bit pattern is spelled once, so 0.0 and -0.0 stay apart
     bits, where = np.unique(floats.view(np.int64), return_inverse=True)
     values = bits.view(float)
@@ -166,46 +196,64 @@ def _json(value) -> str:
     # json spells these three floats differently from repr
     for i in np.flatnonzero(~np.isfinite(values)).tolist():
         spelled[i] = _JSON_NON_FINITE[spelled[i]]
-    return template % tuple(spelled[where].tolist())
+    return parts, spelled, where
 
 
-_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+def _layout(value, level: int, parts: list, arrays: list) -> None:
+    """Append ``value``'s text to ``parts`` and its non-empty arrays to ``arrays``.
 
-
-def _layout(value, level: int, arrays: list) -> str:
-    """The ``%`` template of ``value``; appends each array it lays out to ``arrays``.
-
-    Every other text is escaped, so the slots of the arrays, in the order
-    they were appended, are the template's only conversions.
+    An array stands in ``parts`` as the ``(shape, level)`` of its text.
     """
     if isinstance(value, np.ndarray):
         if np.iscomplexobj(value):
             value = pairs(value)
-        if value.size == 0:
-            return _layout(value.tolist(), level, arrays)
-        arrays.append(value)
-        # innermost axis first, each level at the indent of its depth
-        template = "%s"
-        for axis in range(value.ndim - 1, -1, -1):
-            pad = "\n" + "  " * (level + axis + 1)
-            body = ("," + pad).join([template] * value.shape[axis])
-            template = "[" + pad + body + "\n" + "  " * (level + axis) + "]"
-        return template
+        if value.size:
+            parts.append((value.shape, level))
+            arrays.append(value)
+            return
+        value = value.tolist()
     if isinstance(value, dict):
-        items = [
-            json.dumps(k).replace("%", "%%") + ": " + _layout(v, level + 1, arrays)
-            for k, v in value.items()
-        ]
-        brackets = "{}"
+        items, brackets = [(json.dumps(k) + ": ", v) for k, v in value.items()], "{}"
     elif isinstance(value, (list, tuple)):
-        items = [_layout(v, level + 1, arrays) for v in value]
-        brackets = "[]"
+        items, brackets = [("", v) for v in value], "[]"
     else:
-        return json.dumps(value).replace("%", "%%")
+        parts.append(json.dumps(value))
+        return
     if not items:
-        return brackets
+        parts.append(brackets)
+        return
     pad = "\n" + "  " * (level + 1)
-    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * level + brackets[1]
+    for i, (key, item) in enumerate(items):
+        parts.append(("," if i else brackets[0]) + pad + key)
+        _layout(item, level + 1, parts, arrays)
+    parts.append("\n" + "  " * level + brackets[1])
+
+
+def _array_text(shape: tuple, level: int, spelled, where) -> Iterator[str]:
+    """The text of a non-empty array of ``shape`` holding ``spelled[where]``."""
+    if not shape:
+        yield spelled[where[0]]
+        return
+    # one row of the first axis: innermost axis first, each level at the
+    # indent of its depth
+    row = "%s"
+    for axis in range(len(shape) - 1, 0, -1):
+        pad = "\n" + "  " * (level + axis + 1)
+        body = ("," + pad).join([row] * shape[axis])
+        row = "[" + pad + body + "\n" + "  " * (level + axis) + "]"
+    sep = ",\n" + "  " * (level + 1)
+    width = math.prod(shape[1:])
+    rows = -(-_SLOTS // width)
+    block = sep.join([row] * rows)
+    yield "[" + sep[1:]
+    for first in range(0, shape[0], rows):
+        count = min(rows, shape[0] - first)
+        if first:
+            yield sep
+        template = block if count == rows else sep.join([row] * count)
+        values = spelled[where[first * width : (first + count) * width]]
+        yield template % tuple(values.tolist())
+    yield "\n" + "  " * level + "]"
 
 
 # ---------------------------------------------------------------------------
@@ -318,17 +366,25 @@ def model_to_document(model: BosonicModel) -> dict:
 # output plumbing
 
 
-def emit(pieces: str | Iterable[str], output: str | None) -> None:
-    """Write a text, or its pieces in order, to stdout or to the file ``output``.
+def emit(pieces: Iterable[str], output: str | None) -> None:
+    """Write the pieces of a text in order to stdout or to the file ``output``.
 
     Short pieces are joined and long ones cut into slices of about
     ``_SLICE`` characters, so no write encodes more than a slice and the
-    whole text is never held at once.  An unwritable file is bad input.
+    whole text is never held at once.  An unwritable file, or a stdout
+    closed before the end, is bad input.
     """
-    if isinstance(pieces, str):
-        pieces = (pieces,)
     if output is None:
-        sys.stdout.writelines(_slices(pieces))
+        try:
+            sys.stdout.writelines(_slices(pieces))
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader is gone (as with `| head -1`): send what stdout still
+            # buffers nowhere, so that the flush at exit does not fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise InputError(
+                "standard output closed before the output was written"
+            ) from None
         return
     try:
         with open(output, "w", newline="") as fh:
@@ -351,7 +407,10 @@ def _slices(pieces: Iterable[str]) -> Iterator[str]:
     yield "".join(batch)
 
 
-def report(command: str, model_hash: str, tolerances: dict, results: dict) -> str:
+def report(
+    command: str, model_hash: str, tolerances: dict, results: dict
+) -> Iterator[str]:
+    """The JSON report of a command, in pieces for :func:`emit`."""
     doc = {
         "command": command,
         "model_hash": model_hash,
@@ -359,7 +418,8 @@ def report(command: str, model_hash: str, tolerances: dict, results: dict) -> st
         "tolerances": tolerances,
         "results": results,
     }
-    return _json(doc) + "\n"
+    yield from _json(doc)
+    yield "\n"
 
 
 def csv_table(header: list[str], lines: Iterable[str]) -> Iterator[str]:

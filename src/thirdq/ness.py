@@ -40,6 +40,7 @@ import numpy as np
 
 from .errors import (
     AsymmetricZ,
+    DimensionMismatch,
     IndexOutOfRange,
     InputError,
     NonSymmetricInitial,
@@ -86,9 +87,13 @@ def wick_moment(Z: np.ndarray, indices) -> complex:
     """Normal-ordered 4-point moment <: b_p b_q b_r b_s :> of a Gaussian state.
 
     Equals the sum over the three pairings Z_pq Z_rs + Z_pr Z_qs + Z_ps Z_qr
-    and is therefore invariant under any permutation of the four slots.
+    and is therefore invariant under any permutation of the four slots.  A
+    ``Z`` that is not a square matrix is refused with
+    :class:`DimensionMismatch`, a slot outside it with :class:`IndexOutOfRange`.
     """
     Z = np.asarray(Z, dtype=complex)
+    if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
+        raise DimensionMismatch(f"Z must be a square matrix, got shape {Z.shape}")
     idx = list(indices)
     if len(idx) != 4:
         raise IndexOutOfRange(f"expected 4 correlator slots, got {len(idx)}")

@@ -709,6 +709,36 @@ def test_rapidity_reports_do_not_depend_on_blas_threads(tmp_path, argv):
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize(
+    "command, chain, lines",
+    [("analyze", False, 0), ("ness", True, 1)],
+    ids=["closed-before-the-flush", "head-1"],
+)
+def test_closed_stdout_is_one_error_line(tmp_path, command, chain, lines):
+    # a one-mode analyze report fits in stdout's buffer, so only the last
+    # flush meets the closed pipe; the 1.5 MB ness report of a 50-mode chain
+    # fills the pipe long before a reader that takes one line closes it
+    if chain:
+        doc = model_to_document(dense_chain_model(np.random.default_rng(1), 50))
+    else:
+        doc = sec4_document()
+    path = write_model(tmp_path, doc)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "thirdq.cli", command, "--model", path],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    for _ in range(lines):
+        assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert err == b"error: standard output closed before the output was written\n"
+
+
 def test_exceptional_point_is_refused_where_the_eigenbasis_is_printed(tmp_path, capsys):
     # squeezing at 2|K| = omega merges the two rapidities at beta = 1/2 into
     # one Jordan block, exactly so in the real form: analyze and spectrum

@@ -9,6 +9,7 @@ on whole arrays; these tests hold them to the per-value forms.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -18,12 +19,13 @@ from hypothesis.extra import numpy as hnp
 from thirdq import codec
 from thirdq.cli import main
 from thirdq.codec import document_to_model, model_to_document
+from thirdq.lyapunov import solve
 from thirdq.model import validate_model
-from thirdq.ness import mean_source, moment_steps
+from thirdq.ness import mean_source, moment_steps, physical_correlators
 from thirdq.spectral import liouville_spectrum, rapidities
 from thirdq.structure import build_structure
 
-from conftest import sec4_document, two_mode_document, write_model
+from conftest import dense_chain_model, sec4_document, two_mode_document, write_model
 
 # every float the spellings treat apart: signed zeros, subnormals, NaN, infinities
 FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
@@ -69,6 +71,8 @@ def _expanded(value):
     """The document with every array written out value by value."""
     if isinstance(value, dict):
         return {k: _expanded(v) for k, v in value.items()}
+    if isinstance(value, np.ndarray) and value.ndim == 0:
+        return _expanded(value[()])
     if isinstance(value, (list, np.ndarray)):
         return [_expanded(v) for v in value]
     if isinstance(value, np.complexfloating):
@@ -78,16 +82,26 @@ def _expanded(value):
     return value
 
 
+def _written(doc) -> str:
+    """The text the report writer yields for ``doc``, its pieces joined."""
+    return "".join(codec._json(doc))
+
+
 @settings(deadline=None)
 @given(DOCUMENTS)
 @example({"rows": np.zeros((2, 0)), "none": np.zeros((0, 3), dtype=complex)})
-# the whole report is one % template: keys and strings must not act as slots
+# only array rows are % templates: keys and strings are written as they are
 @example({"%s": np.array([1 + 2j, -0.5j]), "a%": "100%s", "%%d": [np.array([0.5])]})
 # each distinct float is spelled once per report, wherever it stands
 @example({"a": np.array([0.1, 2.0]), "b": np.array([[2.0], [0.1]]), "c": 0.1})
 @example({"pos": np.array([0.0, 1.0]), "neg": np.array([-0.0]), "plain": -0.0})
+# a first axis of one row, and one longer than a block of rows
+@example({"one": np.array([[0.5, -1.0, 2.0]]), "long": np.arange(2.0 * codec._SLOTS + 3)})
+@example({"empty_rows": np.zeros((3, 0)), "scalar": np.array(-0.0)})
+@example([1.5, np.array([[1.0, 2.0], [3.0, 4.0]]), "after"])
+@example({"no": ["arrays", 1, None, {"here": -2.5}]})
 def test_report_writer_spells_as_json(doc):
-    assert codec._json(doc) == json.dumps(_expanded(doc), indent=2)
+    assert _written(doc) == json.dumps(_expanded(doc), indent=2)
 
 
 def test_report_writer_spells_repeated_and_signed_values_as_json():
@@ -109,9 +123,36 @@ def test_report_writer_spells_repeated_and_signed_values_as_json():
     nested = {
         key: (codec.pairs(v) if np.iscomplexobj(v) else v).tolist() for key, v in doc.items()
     }
-    text = codec._json(doc)
+    text = _written(doc)
     assert text == json.dumps(nested, indent=2)
     assert "-0.0" in text
+
+
+def test_report_writer_holds_one_block_of_rows(tmp_path, rng):
+    # the ness report of a dense 50-mode chain: 35 050 floats, 10 082 of them
+    # distinct, in 1.5 MB; a writer that lays out the whole text first holds
+    # about three times that
+    n = 50
+    struct = build_structure(dense_chain_model(rng, n))
+    sol = solve(struct.X, struct.Y, rapidities(struct.X))
+    corr = physical_correlators(sol.Z, n)
+    results = {
+        "Z": sol.Z,
+        "pair_aa": corr.pair_aa,
+        "pair_adad": corr.pair_adad,
+        "normal_ad_a": corr.normal_ad_a,
+        "occupations": corr.occupations,
+        "residual": float(sol.residual),
+        "method": sol.method.value,
+    }
+    output = tmp_path / "ness.json"
+    tracemalloc.start()
+    try:
+        codec.emit(codec.report("ness", "0" * 64, {}, results), str(output))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * output.stat().st_size
 
 
 @settings(deadline=None)

@@ -101,6 +101,18 @@ def test_wick_index_validation():
 
 
 @pytest.mark.parametrize(
+    "Z, slots",
+    [(np.zeros((3, 2)), (0, 2, 0, 0)), (np.zeros(4), (0, 0, 0, 0))],
+    ids=["3x2", "vector"],
+)
+def test_wick_refuses_a_correlator_that_is_not_square(Z, slots):
+    # the slots are bounded by the first axis only, so numpy would raise
+    # IndexError on the second
+    with pytest.raises(DimensionMismatch, match="square matrix"):
+        wick_moment(Z, slots)
+
+
+@pytest.mark.parametrize(
     "slot",
     [0.7, -0.5, 1.0, True, np.bool_(False), "0"],
     ids=["0.7", "-0.5", "1.0", "True", "numpy-False", "string-0"],
