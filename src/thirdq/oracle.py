@@ -405,7 +405,9 @@ def oracle_steady_state(
     eigenvalues; the block that holds the identity coordinates also yields
     their Ritz vectors.  The zero mode's vector gives the moments (its
     trace among them), read off with ``R`` and scaled to unit trace, and
-    ``spectrum`` keeps the ``count`` slowest eigenvalues over all blocks.
+    ``spectrum`` keeps the ``count`` slowest eigenvalues over all blocks:
+    all ``dim**2`` of them, fewer than ``count``, when ``dim**2 < count``
+    (``run_verification`` refuses such a cutoff before it asks).
     A second eigenvalue in any block indistinguishable from zero, or a
     null vector of vanishing trace, raises
     :class:`DegenerateZeroEigenvalue` (no unique steady state); a top-level
@@ -449,6 +451,8 @@ def oracle_spectrum(lio: Liouvillean, count: int) -> np.ndarray:
 
     Eigenvalues only, from one ARPACK call per block of ``M`` (dense for a
     block ARPACK cannot take, so ``count = dim**2`` gives every eigenvalue).
+    The generator has only ``dim**2``: a larger ``count`` returns them all,
+    fewer than asked (``run_verification`` refuses such a cutoff).
     Deep modes are distorted by truncation; only the leading ones are
     comparable to the analytic decay-mode lattice.
     """

@@ -5,7 +5,8 @@ of X, computed once here and passed to each stage: the Lyapunov steady
 state, the steady mean, the decay-mode lattice and the gap that sets the
 trajectory window.  The brute-force oracle (:mod:`thirdq.oracle`) computes
 the same quantities on a truncated Fock space, and each delta is held to
-its gate.  Unset gates derive from ``tol_moments``: wick and trajectory at
+its gate; each decay mode is paired with one oracle eigenvalue by a min-sum
+assignment.  Unset gates derive from ``tol_moments``: wick and trajectory at
 10x, spectrum at 100x, truncation at max(1e-8, tol_moments).
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionCap
+from .errors import DimensionCap, TruncationInsufficient
 from .lyapunov import solve
 from .model import BosonicModel
 from .ness import (
@@ -80,6 +81,59 @@ def default_cutoff(
     return cutoff
 
 
+def _min_sum_assignment(cost: np.ndarray) -> np.ndarray:
+    """Column of each row in a min-sum assignment of a square ``cost``.
+
+    Crouse's shortest augmenting path (IEEE TAES 52:1679, 2016) as scipy's
+    ``linear_sum_assignment`` runs it on a square matrix: the same dual
+    potentials, the same scan over the remaining columns (last first, the
+    last moved into a removed one's place) and the same tie rule (on equal
+    cost, an unassigned column), so it returns the same columns.  The
+    entries must be finite.
+    """
+    c = cost.tolist()
+    size = len(c)
+    u, v = [0.0] * size, [0.0] * size
+    col4row, row4col, path = [-1] * size, [-1] * size, [-1] * size
+    for cur in range(size):
+        dist = [np.inf] * size
+        remaining = list(range(size - 1, -1, -1))
+        rows_seen, cols_seen = [], []
+        low, i, sink = 0.0, cur, -1
+        while sink < 0:  # shortest reduced-cost path to an unassigned column
+            rows_seen.append(i)
+            ci, ui = c[i], u[i]
+            best, index = np.inf, -1
+            for it, j in enumerate(remaining):
+                r = low + ci[j] - ui - v[j]
+                if r < dist[j]:
+                    path[j], dist[j] = i, r
+                if dist[j] < best or (dist[j] == best and row4col[j] < 0):
+                    best, index = dist[j], it
+            low = best
+            j = remaining[index]
+            cols_seen.append(j)
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += low
+        for i in rows_seen[1:]:  # the rows after cur, each assigned before
+            u[i] += low - dist[col4row[i]]
+        for j in cols_seen:
+            v[j] -= low - dist[j]
+        j = sink  # augment along the path back to row cur
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return np.array(col4row)
+
+
 def run_verification(
     model: BosonicModel,
     cutoff: int | None = None,
@@ -94,10 +148,10 @@ def run_verification(
     """Cross-validate the analytic pipeline against the brute-force oracle.
 
     Returns the gates, resolved from their defaults, in report order, and a
-    JSON-ready dict of side-by-side deltas with a ``pass`` flag.
+    JSON-ready dict of side-by-side deltas with a ``pass`` flag.  A cutoff
+    whose generator has fewer eigenvalues than the decay modes compared
+    raises :class:`TruncationInsufficient`.
     """
-    from scipy.optimize import linear_sum_assignment  # only verify needs it
-
     gates = {
         "tol_moments": tol_moments,
         "tol_wick": 10 * tol_moments if tol_wick is None else tol_wick,
@@ -129,6 +183,13 @@ def run_verification(
     trace_resid = lio.trace_preservation_residual()
     max_exc = 2 if n == 1 else 1
     analytic_vals = liouville_spectrum(spectrum, max_exc).lam
+    if lio.M.shape[0] < analytic_vals.size:
+        # every decay mode must meet an oracle eigenvalue of its own
+        raise TruncationInsufficient(
+            f"the oracle generator at cutoff {cutoff} has {lio.M.shape[0]} "
+            f"eigenvalues, fewer than the {analytic_vals.size} decay modes "
+            "compared; increase the cutoff"
+        )
     # one eigensolve per block of M gives the steady state and the slow modes
     ss = oracle_steady_state(
         lio, top_level_tol=gates["trunc_tol"], count=analytic_vals.size
@@ -155,8 +216,8 @@ def run_verification(
 
     # optimal matching avoids ordering artifacts among near-ties
     cost = np.abs(analytic_vals[:, None] - ss.spectrum[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    spectrum_max = float(cost[rows, cols].max())
+    cols = _min_sum_assignment(cost)
+    spectrum_max = float(cost[np.arange(cols.size), cols].max())
 
     t_end = min(10.0, 6.0 / gap)
     times = np.linspace(0.0, t_end, 21)

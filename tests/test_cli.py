@@ -318,6 +318,19 @@ def test_verify_truncation_gate(tmp_path, capsys):
     assert code == 5
 
 
+def test_verify_refuses_a_generator_with_fewer_eigenvalues_than_modes(tmp_path, capsys):
+    # pure loss: at cutoff 2 the generator has 4 eigenvalues, the lattice 6
+    doc = sweep_family_document()
+    del doc["channels"][1]
+    path = write_model(tmp_path, doc)
+    code, out, err = run_cli(capsys, "verify", "--model", path, "--cutoff", "2")
+    assert (code, out) == (5, "")
+    assert "has 4 eigenvalues, fewer than the 6 decay modes" in err
+    code, out, _ = run_cli(capsys, "verify", "--model", path, "--cutoff", "3")
+    assert code == 0
+    assert json.loads(out)["results"]["pass"] is True
+
+
 def test_verify_memcap_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("THIRDQ_MEMCAP", "1000")
     path = write_model(tmp_path, sec4_document())

@@ -2,8 +2,9 @@
 
 A ``_``-prefixed name is private to the module that defines it; a module
 that needs another's helper gets a public name for it.  Importing the
-package or its command line runs neither the oracle nor ``verify``, and
-only the commands that call into scipy import it.
+package or its command line runs neither the oracle nor ``verify``, only
+the commands that call into scipy import it, and none imports
+``scipy.optimize``.
 """
 
 import ast
@@ -86,13 +87,14 @@ def test_every_exported_name_resolves():
     assert result.stdout.split() == []
 
 
-# prints whether scipy is loaded after one command in a fresh interpreter
+# prints whether scipy and scipy.optimize are loaded after one command in a
+# fresh interpreter
 SCIPY_AFTER_COMMAND = """
 import contextlib, io, sys
 from thirdq.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(code, "scipy" in sys.modules)
+print(code, "scipy" in sys.modules, "scipy.optimize" in sys.modules)
 """
 
 
@@ -104,6 +106,7 @@ print(code, "scipy" in sys.modules)
         (["spectrum", "-M", "2"], False),
         (["sweep", "--param", "H.0.0.0", "--from", "0", "--to", "1", "--steps", "3"], False),
         (["dynamics", "--t1", "1"], True),
+        (["verify"], True),
     ],
     ids=lambda value: value[0] if isinstance(value, list) else None,
 )
@@ -111,4 +114,4 @@ def test_only_commands_that_need_scipy_import_it(tmp_path, command, loads_scipy)
     # the README oscillator: Stable, so ness takes the eigenbasis route
     (tmp_path / "osc.json").write_text(json.dumps(sec4_document()))
     result = run_fresh(SCIPY_AFTER_COMMAND, *command, "--model", "osc.json", cwd=tmp_path)
-    assert result.stdout.split() == ["0", str(loads_scipy)], result.stderr
+    assert result.stdout.split() == ["0", str(loads_scipy), "False"], result.stderr
