@@ -21,7 +21,10 @@ source assembled from linear forces f and channel offsets lambda_mu:
 
 Both flows relax under the same X, so one block exponential (Van Loan, IEEE
 Trans. Autom. Control 23:395, 1978) gives the exact step of both for any X,
-stable or not.  :func:`moment_steps` is the one propagator: given the arrays
+stable or not.  The block is scaled to 1-norm at most 3/2, within reach of a
+diagonal Pade approximant of degree 9 or less (Higham, SIAM J. Matrix Anal.
+Appl. 26:1179, 2005), so the step needs numpy alone.
+:func:`moment_steps` is the one propagator: given the arrays
 ``g``, ``C0`` and ``m0``, it yields ``(C, m)`` one time of a uniform grid at
 a time, and a caller that wants the whole grid stacks the steps.  It refuses
 a bad grid, initial moments or source of the wrong size or not finite, and
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from math import factorial
 
 import numpy as np
 
@@ -159,32 +163,81 @@ def _uniform_grid(times) -> tuple[np.ndarray, float]:
     return times, h
 
 
+# (theta_m, b_0..b_m) for the diagonal Pade approximants of degree m = 3, 5,
+# 7, 9: up to |A|_1 <= theta_m the degree-m approximant is expm(A) to double
+# precision (Higham, SIAM J. Matrix Anal. Appl. 26:1179, 2005, Table 2.3),
+# and its numerator has the coefficients b_j = (2m - j)! / ((m - j)! j!)
+_PADE = tuple(
+    (theta, [factorial(2 * m - j) // factorial(m - j) // factorial(j) for j in range(m + 1)])
+    for m, theta in (
+        (3, 1.495585217958292e-2),
+        (5, 2.539398330063230e-1),
+        (7, 9.504178996162932e-1),
+        (9, 2.097847961257068e0),
+    )
+)
+
+
+def _pade_expm(A: np.ndarray) -> np.ndarray:
+    """expm(A) for |A|_1 <= theta_9 = 2.098, with no scaling and squaring.
+
+    Takes the lowest degree m in {3, 5, 7, 9} whose theta_m covers |A|_1 and
+    returns (V - U)^-1 (V + U), U and V the odd and even parts of the
+    degree-m numerator.
+    """
+    norm = np.abs(A).sum(axis=0).max()
+    b = next((b for theta, b in _PADE if norm <= theta), _PADE[-1][1])
+    A2 = A @ A
+    even = [np.eye(len(A), dtype=A.dtype), A2]  # I, A^2, ..., A^(m-1)
+    while len(even) < len(b) // 2:
+        even.append(even[-1] @ A2)
+    U = A @ sum(c * P for c, P in zip(b[1::2], even))
+    V = sum(c * P for c, P in zip(b[::2], even))
+    return np.linalg.solve(V - U, V + U)
+
+
+def _halved(part: np.ndarray) -> tuple[np.ndarray, int]:
+    """``part / 2^p``, p >= 0 the least power that takes its 1-norm below 1/2 (1 at 0)."""
+    p = max(0, int(np.frexp(np.abs(part).sum(axis=0).max())[1]) + 1)
+    return np.ldexp(1.0, -p) * part, p
+
+
 def _moment_step(X: np.ndarray, Y: np.ndarray, g: np.ndarray, h: float):
     """One step of both flows: C(t+h) = F^T C F + Q and m(t+h) = F^T m + b.
 
     F = expm(-2 X h), Q = 2 int_0^h F(s)^T Y F(s) ds, b = int_0^h F(s)^T g ds.
     expm(tau [[2 X^T, 2 Y, 0], [0, -2 X, 0], [0, g^T, 0]]) holds F(tau) in
     the middle, F(tau)^-T Q(tau) above it and b(tau)^T below it at
-    tau = h / 2^s, 2 |X|_1 tau <= 1/2; s doublings then reach h without the
-    growing expm(2 X^T h) that would swamp Q at large h.
+    tau = h / 2^s, 2 max(|X|_1, |X|_inf) tau <= 1/2; s doublings then reach
+    h without the growing expm(2 X^T h) that would swamp Q at large h.  Q is
+    linear in Y and b in g, so the block holds Y and g divided by powers of
+    two that bring each part below 1-norm 1/2, and Q and b are multiplied back:
+    both steps are exact.  The block's 1-norm is then at most 3/2, below
+    theta_9, so :func:`_pade_expm` needs no squaring of its own (Higham,
+    SIAM J. Matrix Anal. Appl. 26:1179, 2005); the doublings are the only
+    squaring, and scaling by the whole block's norm would let a huge g wash
+    the X part out of it.
     """
-    from scipy.linalg import expm  # scipy is slow to import; load it only here
-
     m = X.shape[0]
-    norm = 4.0 * np.abs(X).sum(axis=0).max() * h
+    # the columns of the X^T part sum to X's row sums
+    norm = 4.0 * max(np.abs(X).sum(axis=0).max(), np.abs(X).sum(axis=1).max()) * h
     if not np.isfinite(norm):
         raise NumericalError("covariance overflows the float range on this grid")
     s = int(np.ceil(np.log2(max(norm, 1.0))))  # at most 1024
     tau = np.ldexp(h, -s)  # h / 2^s without forming 2^s, no float at s = 1024
+    Y_part, p = _halved(2.0 * tau * Y)
+    g_part, q = _halved(tau * g[None, :])
     block = np.zeros((2 * m + 1, 2 * m + 1), dtype=complex)
     block[:m, :m] = 2.0 * tau * X.T
-    block[:m, m : 2 * m] = 2.0 * tau * Y
+    block[:m, m : 2 * m] = Y_part
     block[m : 2 * m, m : 2 * m] = -2.0 * tau * X
-    block[2 * m, m : 2 * m] = tau * g
-    E = expm(block)
+    block[2 * m, m : 2 * m] = g_part[0]
+    E = _pade_expm(block)
     F = E[m : 2 * m, m : 2 * m]
-    Q = F.T @ E[:m, m : 2 * m]
-    b = E[2 * m, m : 2 * m]
+    # exact; 2^p is inf only once |2 tau Y|_1 reaches 2^1022, a Q near the
+    # float limit, which is then refused as overflowing
+    Q = np.ldexp(1.0, p) * (F.T @ E[:m, m : 2 * m])
+    b = np.ldexp(1.0, q) * E[2 * m, m : 2 * m]
     for _ in range(s):
         Q = Q + F.T @ Q @ F
         b = b + F.T @ b

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotRealSimilar, NumericalError
-from .model import BosonicModel, bath_matrices
+from .model import BosonicModel, bath_matrices, float_scale
 
 
 @dataclass(frozen=True)
@@ -92,10 +92,12 @@ def realify(A: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     n = m // 2
     lower = A[n:, [*range(n, m), *range(n)]].conj()  # [conj(A22), conj(A21)]
     upper = A[:n]  # [A11, A12]
-    rem = np.linalg.norm(upper - lower) / np.sqrt(2.0)
-    if rem > tol * max(1.0, np.linalg.norm(A)):
+    # judged on A / s, an exact division, so that no norm overflows
+    s = float_scale(A)
+    rem = np.linalg.norm(upper / s - lower / s) / np.sqrt(2.0)
+    if rem > tol * max(1.0 / s, np.linalg.norm(A / s)):
         raise NotRealSimilar(
-            f"imaginary remainder {rem:.3e} exceeds tolerance; "
+            f"imaginary remainder {rem * s:.3e} exceeds tolerance; "
             "matrix does not have the conjugate block structure"
         )
     top = (upper + lower) / 2  # [A, B] of the nearest patterned matrix

@@ -1193,6 +1193,29 @@ def test_sweep_non_finite_bound_is_refused(tmp_path, capsys, flag, value):
     assert err == "error: --from and --to must be finite\n"
 
 
+def test_entries_past_1e154_run_without_a_warning(tmp_path, capsys):
+    # |X|_F overflows once the entries pass about 1e154; realify judges X
+    # without forming it
+    doc = sweep_family_document()
+    doc["channels"] = doc["channels"][:1]
+    doc["H"] = [[[1e160, 0.0]]]
+    path = write_model(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "analyze", "--model", path)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["results"]["stability"] == "Stable"
+    doc["H"] = [[[1.0, 0.0]]]
+    doc["K"] = [[[1e300, 0.0]]]
+    path = write_model(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "dynamics", "--model", path, "--t1", "1")
+    assert code == 3
+    assert out == ""
+    assert err.splitlines()[-1] == "error: covariance overflows the float range on this grid"
+
+
 @pytest.mark.parametrize(
     "field,message",
     [("H", "H deviates from Hermiticity"), ("K", "K deviates from symmetry")],

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import thirdq.ness
 from thirdq import (
     AsymmetricZ,
     DefectiveX,
@@ -30,7 +31,7 @@ from thirdq import (
 )
 from thirdq.cli import main
 from thirdq.codec import model_to_document
-from thirdq.ness import _moment_step
+from thirdq.ness import _PADE, _moment_step, _pade_expm
 
 from conftest import (
     closed_model,
@@ -414,6 +415,100 @@ def test_moment_steps_stack_to_the_trajectory(rng, case):
     C, m = np.stack([C for C, _ in steps]), np.stack([m for _, m in steps])
     assert np.array_equal(C, C_loop) and np.array_equal(m, m_loop)
     assert len({id(C) for C, _ in steps}) == times.size  # a fresh array per step
+
+
+def _forced_chain(rng, n):
+    """X, Y and g of conftest's dense chain with random forces."""
+    chain = dense_chain_model(rng, n)
+    forces = rng.normal(size=n) + 1j * rng.normal(size=n)
+    model = validate_model(n, chain.H, chain.K, list(zip(chain.l, chain.k)), forces=forces)
+    struct = build_structure(model)
+    return struct.X, struct.Y, mean_source(model)
+
+
+def _recorded_blocks(monkeypatch):
+    """Every block that _moment_step exponentiates from now on."""
+    blocks = []
+
+    def recording(A):
+        blocks.append(A.copy())
+        return _pade_expm(A)
+
+    monkeypatch.setattr(thirdq.ness, "_pade_expm", recording)
+    return blocks
+
+
+def _norm_1(A):
+    return np.abs(A).sum(axis=0).max()
+
+
+@pytest.mark.parametrize("theta, b", _PADE, ids=[f"deg{len(b) - 1}" for _, b in _PADE])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_pade_exponential_matches_scipy_just_below_each_theta(rng, theta, b, dtype):
+    A = rng.normal(size=(8, 8)).astype(dtype)
+    if dtype is complex:
+        A = A + 1j * rng.normal(size=(8, 8))
+    A *= 0.999 * theta / _norm_1(A)
+    assert _rel(_pade_expm(A), scipy.linalg.expm(A)) <= 1e-14
+
+
+def test_pade_exponential_matches_scipy_on_the_blocks_of_forced_chains(rng, monkeypatch):
+    blocks = _recorded_blocks(monkeypatch)
+    for n in (1, 5, 20, 50):
+        for h in (0.1, 10.0):
+            _moment_step(*_forced_chain(rng, n), h)
+    assert len(blocks) == 8
+    for A in blocks:
+        assert _norm_1(A) <= 1.5
+        assert _rel(_pade_expm(A), scipy.linalg.expm(A)) <= 1e-14
+
+
+def test_step_of_an_x_whose_rows_outweigh_its_columns(rng, monkeypatch):
+    # upper triangular and far from normal: row 0 sums to about 20 and every
+    # column to about 1, so the block's X^T part is bounded by |X|_inf alone
+    blocks = _recorded_blocks(monkeypatch)
+    m = 20
+    X = np.diag(rng.uniform(0.05, 0.1, m)) + np.outer(np.eye(m)[0], np.ones(m))
+    X = X + 0.01j * np.triu(rng.normal(size=(m, m)))
+    assert np.abs(X).sum(axis=1).max() >= 15 * _norm_1(X)
+    Y = _random_symmetric(rng, m)
+    g = rng.normal(size=m) + 1j * rng.normal(size=m)
+    C0 = _random_symmetric(rng, m)
+    m0 = rng.normal(size=m) + 1j * rng.normal(size=m)
+    times = np.linspace(0.0, 4.0, 9)
+    C_ref, m_ref = _closed_form(X, Y, g, C0, m0, times)
+    C, mean = map(np.array, zip(*moment_steps(X, Y, g, C0, m0, times)))
+    assert _rel(C, C_ref) <= 1e-12
+    assert _rel(mean, m_ref) <= 1e-12
+    assert max(map(_norm_1, blocks)) <= 1.5
+
+
+@pytest.mark.parametrize("n", [5, 20, 50])
+def test_step_keeps_the_steady_state_fixed(rng, n):
+    X, Y, g = _forced_chain(rng, n)
+    spectrum = rapidities(X)
+    Z = solve(X, Y, spectrum).Z
+    mstar = steady_mean(X, g, spectrum)
+    for h in (0.01, 0.1, 1.0, 10.0):
+        F, Q, b = _moment_step(X, Y, g, h)
+        assert np.linalg.norm(F.T @ Z @ F + Q - Z) <= 1e-13 * np.linalg.norm(Z)
+        assert np.linalg.norm(F.T @ mstar + b - mstar) <= 1e-13 * np.linalg.norm(mstar)
+
+
+def test_means_scale_with_the_source_and_initial_mean(rng, monkeypatch):
+    # a source of 2^600 times the chain's must not enter the exponential's
+    # scaling: the means scale exactly and the covariance does not move
+    blocks = _recorded_blocks(monkeypatch)
+    X, Y, g = _forced_chain(rng, 5)
+    C0 = np.zeros((10, 10))
+    m0 = rng.normal(size=10) + 1j * rng.normal(size=10)
+    times = np.linspace(0.0, 10.0, 11)
+    big = 2.0**600
+    C, mean = map(np.array, zip(*moment_steps(X, Y, g, C0, m0, times)))
+    C_big, mean_big = map(np.array, zip(*moment_steps(X, Y, big * g, C0, big * m0, times)))
+    assert _rel(mean_big / big, mean) <= 1e-14
+    assert _rel(C_big, C) <= 1e-14
+    assert max(map(_norm_1, blocks)) <= 1.5
 
 
 def _ep5_model(gain=0.0):

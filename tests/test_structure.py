@@ -54,6 +54,15 @@ def test_realify_rejects_wrong_block_structure():
         realify(np.diag([1j, 1j]))
 
 
+def test_realify_judges_entries_near_the_float_limit():
+    # |A|_F overflows past about 1e154: the remainder is judged on A scaled
+    # by a power of two, so a patterned matrix maps and a broken one is refused
+    big = np.diag([1e300 + 1e300j, 1e300 - 1e300j])
+    assert np.array_equal(realify(big), [[1e300, 1e300], [-1e300, 1e300]])
+    with pytest.raises(NotRealSimilar):
+        realify(np.diag([1e300j, 1e300j]))
+
+
 def test_structure_invariants_random_suite(rng):
     for _ in range(500):
         model = random_model(rng)
