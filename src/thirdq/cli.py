@@ -8,6 +8,7 @@ the exit code; a :class:`~thirdq.errors.ThirdQError` exits with its own
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -46,6 +47,8 @@ from .ness import (
     physical_correlators,
     require_state_moments,
 )
+from .oracle import memcap_from_env
+from .verify import run_verification
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +179,6 @@ def cmd_dynamics(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # only verify runs the oracle, which loads scipy.sparse
-    from .oracle import memcap_from_env
-    from .verify import run_verification
-
     model, model_hash = _load_model(args)
     gates, results = run_verification(
         model,
@@ -259,6 +258,7 @@ def _tolerance(positive: bool):
     return tolerance
 
 
+@functools.cache  # one parser per process: building one costs about 40 parses
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thirdq",

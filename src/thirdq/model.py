@@ -29,7 +29,10 @@ DEFAULT_TOL_INPUT = 1e-9
 
 def as_complex_matrix(A, n, name):
     """A copy of ``A`` as a finite complex n x n matrix, else :class:`DimensionMismatch`."""
-    A = np.array(A, dtype=complex)  # copy: the result may be frozen
+    try:
+        A = np.array(A, dtype=complex)  # copy: the result may be frozen
+    except (TypeError, ValueError, OverflowError):  # ragged, non-numeric, 10**400
+        raise DimensionMismatch(f"{name} is not an array of numbers") from None
     if A.shape != (n, n):
         raise DimensionMismatch(f"{name} must be {n}x{n}, got {A.shape}")
     if not np.all(np.isfinite(A.view(float))):
@@ -39,7 +42,10 @@ def as_complex_matrix(A, n, name):
 
 def as_complex_vector(v, n, name):
     """A copy of ``v`` as a finite complex n-vector, else :class:`DimensionMismatch`."""
-    v = np.array(v, dtype=complex)  # copy: the result may be frozen
+    try:
+        v = np.array(v, dtype=complex)  # copy: the result may be frozen
+    except (TypeError, ValueError, OverflowError):  # ragged, non-numeric, 10**400
+        raise DimensionMismatch(f"{name} is not an array of numbers") from None
     if v.shape != (n,):
         raise DimensionMismatch(f"{name} must have length {n}, got {v.shape}")
     if not np.all(np.isfinite(v.view(float))):
@@ -168,16 +174,19 @@ def validate_model(
     ls, ks = [ch[0] for ch in channels], [ch[1] for ch in channels]
     l_rows, k_rows = _channel_rows(ls, n), _channel_rows(ks, n)
     if l_rows is None or k_rows is None:
-        # the per-channel walk names the first bad vector
-        for i in range(len(ls)):
-            ls[i] = as_complex_vector(ls[i], n, f"channels[{i}].l")
-            ks[i] = as_complex_vector(ks[i], n, f"channels[{i}].k")
-        l_rows, k_rows = _channel_rows(ls, n), _channel_rows(ks, n)
-    offsets = [complex(ch[2]) if len(ch) > 2 else 0j for ch in channels]
-    offsets = np.array(offsets, dtype=complex)
-    bad = np.flatnonzero(~np.isfinite(offsets))
-    if bad.size:
-        raise DimensionMismatch(f"channels[{bad[0]}].offset is not finite")
+        # stacking fails only on a vector that is not a finite complex
+        # n-vector, and the per-channel walk names the first one
+        for i, (l, k) in enumerate(zip(ls, ks)):
+            as_complex_vector(l, n, f"channels[{i}].l")
+            as_complex_vector(k, n, f"channels[{i}].k")
+    offsets = np.zeros(len(channels), dtype=complex)
+    for i, ch in enumerate(channels):
+        try:
+            offsets[i] = complex(ch[2]) if len(ch) > 2 else 0j
+        except (TypeError, ValueError, OverflowError):
+            raise DimensionMismatch(f"channels[{i}].offset is not a number") from None
+        if not np.isfinite(offsets[i]):
+            raise DimensionMismatch(f"channels[{i}].offset is not finite")
     forces = as_complex_vector(forces if forces is not None else np.zeros(n), n, "forces")
 
     for A in (H, K, l_rows, k_rows, offsets, forces):

@@ -147,7 +147,10 @@ def require_state_moments(C0: np.ndarray, m0: np.ndarray) -> None:
 
 def _uniform_grid(times) -> tuple[np.ndarray, float]:
     """Return a non-empty, non-negative, ascending, uniform grid and its step."""
-    times = np.asarray(times, dtype=float)
+    try:
+        times = np.asarray(times, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError("times must be an array of real numbers") from None
     if times.ndim != 1 or times.size == 0:
         raise InputError("times must be a non-empty 1-d array")
     if not np.isfinite(times).all():
@@ -260,8 +263,9 @@ def moment_steps(
     for any spectrum of X: one propagator step from 0 to the first time,
     then one per grid interval.  Refusals come as the steps are drawn, all
     of them :class:`InputError` until the first step: at the first draw, a
-    grid that is not non-negative, ascending and uniform, then a ``C0``,
-    ``m0`` or ``g`` that is not finite or not the size of X
+    grid that is not real numbers, non-negative, ascending and uniform,
+    then a ``C0``, ``m0`` or ``g`` that is not numbers, not finite or not
+    the size of X
     (:class:`DimensionMismatch`), then a ``C0`` that is not symmetric
     (:class:`NonSymmetricInitial`); then :class:`NumericalError` for an
     overflowing covariance at its step and for overflowing means after the

@@ -6,9 +6,9 @@ one table of occupation vectors; the Hamiltonian, every jump operator and
 every moment read out are sums of ladder words, each read off that table
 array-at-a-time for all basis states at once.  One implicitly
 restarted Arnoldi call (ARPACK) per decoupled block of the generator finds
-its slowest eigenvalues; the block that holds the identity also returns
-Ritz vectors, and its zero mode is the steady state.  Only a block too
-narrow for ARPACK is solved dense.  Time evolution steps the real
+slow eigenvalues, and the slowest over all blocks are kept; the block that
+holds the identity also returns Ritz vectors, and its zero mode is the
+steady state.  Only a block too narrow for ARPACK is solved dense.  Time evolution steps the real
 coordinates across the time grid with an error-controlled Krylov
 exponential (Sidje's Expokit ``expv``), landing on every grid time.
 Nothing here shares code with the analytic pipeline, so agreement between
@@ -41,22 +41,21 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-import scipy.sparse.csgraph
-import scipy.sparse.linalg
 
 from .errors import (
     DegenerateZeroEigenvalue,
     DimensionCap,
-    DimensionMismatch,
     InputError,
     NumericalError,
     TruncationInsufficient,
 )
-from .model import BosonicModel
+from .model import BosonicModel, as_complex_matrix
+
+if TYPE_CHECKING:  # annotations only: each function imports scipy where it calls it
+    import scipy.sparse as sp
 
 DEFAULT_MEMCAP = 4_000_000  # max (d^n)^4, the generator's entries if it were dense
 HERMITICITY_TOL = 1e-12  # max |Im M| relative to |L|_F
@@ -162,6 +161,8 @@ def _operator(ops: FockOperators, words, coef: np.ndarray) -> sp.csr_matrix:
     Terms that meet in one entry are added one by one in word order, the
     order in which a running sum of the separate matrices would add them.
     """
+    import scipy.sparse as sp
+
     word, row, col, value = _read_words(ops, words)
     key, slot = np.unique(row * ops.dim + col, return_inverse=True)
     data = np.zeros(key.size, dtype=coef.dtype)
@@ -176,6 +177,8 @@ def hermitian_basis(dim: int) -> sp.csr_matrix:
     Columns 0..dim-1 are E_mm; then, for the pairs m < n in row-major
     order, (E_mn + E_nm)/sqrt(2), then i (E_mn - E_nm)/sqrt(2).
     """
+    import scipy.sparse as sp
+
     m, n = np.triu_indices(dim, 1)
     pairs = m.size
     diag = np.arange(dim)
@@ -212,6 +215,8 @@ def _readout_operators(ops: FockOperators) -> sp.csr_matrix:
     :func:`_quadratic_words`; a†_j a†_j a_j a_j; the projector on the top
     level of mode j, read straight from the occupation table; the identity.
     """
+    import scipy.sparse as sp
+
     n, dim = ops.n, ops.dim
     m = np.arange(1, n + 1)
     words = _quadratic_words(n) + [*zip(m, m, -m, -m)]
@@ -261,6 +266,8 @@ class Liouvillean:
     """
 
     def __init__(self, ops: FockOperators, L: sp.spmatrix):
+        import scipy.sparse.csgraph
+
         self.ops = ops
         self.dim = ops.dim
         self.L = L.tocsr()
@@ -307,6 +314,8 @@ def build_liouvillean_matrix(
     model: BosonicModel, cutoff: int, memcap: int | None = None
 ) -> Liouvillean:
     """Materialize the generator for ``model`` at the given Fock cutoff."""
+    import scipy.sparse as sp
+
     ops = build_fock_operators(model.n, cutoff, memcap=memcap)
     H, jumps = _assemble_operators(model, ops)
     I = sp.identity(ops.dim, dtype=complex, format="csr")
@@ -339,14 +348,18 @@ class OracleTrajectory:
 
 
 def _slow_modes(B: sp.csc_matrix, k: int, vectors: bool):
-    """The ``k`` rightmost eigenvalues of the real block ``B``, Re descending.
+    """``k`` eigenvalues from the right of the real block ``B``, Re descending.
 
     Implicitly restarted Arnoldi (ARPACK) from the all-ones start vector;
     with ``vectors`` it also returns their right eigenvectors as columns.
-    A block ARPACK cannot take (``k >= width - 1``, or no wider than its
-    Krylov basis) is solved dense.  Any ARPACK failure, non-convergence
-    included, raises :class:`NumericalError`.
+    They need not be the ``k`` rightmost: near ties at the cut can yield a
+    deeper one instead.  A block ARPACK cannot take (``k >= width - 1``, or
+    no wider than its Krylov basis) is solved dense.  Any ARPACK failure,
+    non-convergence included, raises :class:`NumericalError`.
     """
+    import scipy.linalg
+    import scipy.sparse.linalg
+
     width = B.shape[0]
     if k >= width - 1 or width <= ARNOLDI_NCV:
         w, V = scipy.linalg.eig(B.toarray())
@@ -375,12 +388,13 @@ def _slow_modes(B: sp.csc_matrix, k: int, vectors: bool):
 
 
 def _slow_spectrum(lio: Liouvillean, count: int, steady: bool):
-    """The slowest eigenvalues of ``M``: ``count`` from each of its blocks.
+    """The slowest eigenvalues of ``M``: ``count`` asked of each of its blocks.
 
-    One eigensolve per block.  Returns every value found, Re descending
-    (Im ascending among ties), and, with ``steady``, the eigenvalue nearest
-    zero in the block of the identity coordinates with its eigenvector in
-    the full coordinates; without it, ``None``.
+    One eigensolve per block.  Returns every value found, Re descending (Im
+    ascending among ties), of which the first ``count`` are the ``count``
+    slowest of ``M``, and, with ``steady``, the eigenvalue nearest zero in
+    the block of the identity coordinates with its eigenvector in the full
+    coordinates; without it, ``None``.
     """
     values, zero = [], None
     for idx in lio.blocks:
@@ -401,13 +415,13 @@ def oracle_steady_state(
 ) -> OracleSteadyState:
     """Steady state as the zero mode of the slow spectrum of ``M``.
 
-    One ARPACK call per block of ``M`` finds its ``max(count, 2)`` rightmost
-    eigenvalues; the block that holds the identity coordinates also yields
-    their Ritz vectors.  The zero mode's vector gives the moments (its
-    trace among them), read off with ``R`` and scaled to unit trace, and
-    ``spectrum`` keeps the ``count`` slowest eigenvalues over all blocks:
-    all ``dim**2`` of them, fewer than ``count``, when ``dim**2 < count``
-    (``run_verification`` refuses such a cutoff before it asks).
+    One ARPACK call per block of ``M`` asks for ``max(count, 2)`` of its
+    slowest eigenvalues; the block that holds the identity coordinates also
+    yields their Ritz vectors.  The zero mode's vector gives the moments
+    (its trace among them), read off with ``R`` and scaled to unit trace,
+    and ``spectrum`` keeps the ``count`` slowest eigenvalues over all
+    blocks: all ``dim**2`` of them, fewer than ``count``, when ``dim**2 <
+    count`` (``run_verification`` refuses such a cutoff before it asks).
     A second eigenvalue in any block indistinguishable from zero, or a
     null vector of vanishing trace, raises
     :class:`DegenerateZeroEigenvalue` (no unique steady state); a top-level
@@ -498,6 +512,8 @@ def _krylov_evolve(B: sp.csr_matrix, x0: np.ndarray, times: np.ndarray) -> np.nd
     float spacing of t, or a state that is not finite, raises
     :class:`NumericalError`.
     """
+    import scipy.linalg
+
     width = B.shape[0]
     m = min(KRYLOV_DIM, width)
     anorm = float(abs(B).sum(axis=1).max())
@@ -556,10 +572,11 @@ def oracle_evolve(lio: Liouvillean, rho0: np.ndarray, times) -> OracleTrajectory
     real and imaginary parts are evolved apart, the imaginary part only
     when rho0 is not Hermitian.  The blocks do not couple, so every other
     coordinate stays exactly zero.  One product with ``R`` reads the
-    moments at every time.  A ``rho0`` of the wrong shape raises
-    :class:`DimensionMismatch`; a grid of fewer than two times, with a
-    non-finite time, a first time below zero, or steps that decrease or
-    differ, raises :class:`InputError`.  A trace that drifts from tr rho0 by
+    moments at every time.  A ``rho0`` that is not a finite matrix of the
+    right shape raises :class:`DimensionMismatch`; a grid that is not real
+    numbers, of fewer than two times, with a non-finite time, a first time
+    below zero, or steps that decrease or differ, raises
+    :class:`InputError`.  A trace that drifts from tr rho0 by
     more than ``TRACE_DRIFT_TOL`` times |x0| at any time raises
     :class:`NumericalError`: once |lambda_0| t is not small, where lambda_0
     is the rounding-sized eigenvalue of ``M`` nearest zero, the rounding in
@@ -567,10 +584,11 @@ def oracle_evolve(lio: Liouvillean, rho0: np.ndarray, times) -> OracleTrajectory
     Returns normal-ordered covariance matrices, first moments and the trace
     at every time.
     """
-    times = np.asarray(times, dtype=float)
-    rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape != (lio.dim, lio.dim):
-        raise DimensionMismatch(f"rho0 must be {lio.dim}x{lio.dim}, got {rho0.shape}")
+    rho0 = as_complex_matrix(rho0, lio.dim, "rho0")
+    try:
+        times = np.asarray(times, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError("oracle_evolve needs times that are real numbers") from None
     if times.ndim != 1 or times.size < 2:
         raise InputError("oracle_evolve needs a grid of at least two times")
     if not np.isfinite(times).all():

@@ -78,6 +78,23 @@ def two_mode_model() -> BosonicModel:
     return validate_model(2, H, None, channels)
 
 
+def arpack_tail_model() -> BosonicModel:
+    """A bench two-mode model on which, at cutoff 6 with k = 5, ARPACK's five
+    eigenvalues of the identity's block are not that block's five rightmost:
+    it misses -1.80715 and -1.83069 +- 0.56385i for -1.83163 +- 2.16277i.
+    The five slowest over all blocks are still right."""
+    H = np.diag([1.1854331684740052, 0.9782641064831772]) + 0.26398404793402724 * np.array(
+        [[0.0, 1.0], [1.0, 0.0]]
+    )
+    K = np.diag([0.022065312964000276, 0.004394878330628727])
+    loss = [0.945428616538569, 1.0226207525899043]
+    gain = [0.0622631101014473, 0.07517497540894534]
+    eye, zero = np.eye(2), np.zeros(2)
+    channels = [(np.sqrt(loss[j]) * eye[j], zero) for j in range(2)]
+    channels += [(zero, np.sqrt(gain[j]) * eye[j]) for j in range(2)]
+    return validate_model(2, H, K, channels)
+
+
 def two_mode_document() -> dict:
     m = two_mode_model()
     from thirdq.codec import model_to_document

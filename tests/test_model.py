@@ -6,9 +6,14 @@ from hypothesis import strategies as st
 from thirdq import (
     DimensionMismatch,
     HermiticityViolation,
+    InputError,
     SymmetryViolation,
     bath_matrices,
+    build_liouvillean_matrix,
+    moment_steps,
+    oracle_evolve,
     validate_model,
+    vacuum_state,
 )
 from thirdq.codec import document_to_model, model_to_document
 
@@ -122,6 +127,53 @@ def test_non_finite_channel_offset_is_named(offset):
     channels = [([1.0], [0.0], 0.5), ([1.0], [0.0], offset)]
     with pytest.raises(DimensionMismatch, match=r"^channels\[1\]\.offset is not finite$"):
         validate_model(1, [[1.0]], None, channels)
+
+
+def _first_moments(C0=np.zeros((2, 2)), times=(0.0, 1.0)):
+    zero = np.zeros((2, 2))
+    return next(moment_steps(zero, zero, np.zeros(2), C0, np.zeros(2), times))
+
+
+def _oracle_trajectory(rho0=None, times=(0.0, 1.0)):
+    lio = build_liouvillean_matrix(sec4_model(), 3)
+    return oracle_evolve(lio, vacuum_state(lio) if rho0 is None else rho0, times)
+
+
+def _model(n=1, H=((1.0,),), **kwargs):
+    return validate_model(n, H, **kwargs)
+
+
+# values numpy cannot convert: each is refused as a ThirdQError that names
+# its field, not as numpy's ValueError, TypeError or OverflowError
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: _model(H=[["x"]]), DimensionMismatch, "H "),
+        (lambda: _model(K=[["x"]]), DimensionMismatch, "K "),
+        (lambda: _model(channels=[(["x"], [0.0])]), DimensionMismatch, "channels[0].l "),
+        (lambda: _model(forces=["x"]), DimensionMismatch, "forces "),
+        (lambda: _model(channels=[([1.0], [0.0], "x")]), DimensionMismatch, "channels[0].offset "),
+        (
+            lambda: _model(2, np.eye(2), channels=[([1.0, [2.0]], [0.0, 0.0])]),
+            DimensionMismatch,
+            "channels[0].l ",
+        ),
+        (lambda: _model(H=[[10**400]]), DimensionMismatch, "H "),
+        (lambda: _first_moments(times=["a", "b"]), InputError, "times "),
+        (lambda: _first_moments(C0="ab"), DimensionMismatch, "C0 "),
+        (lambda: _oracle_trajectory(times=["a", "b"]), InputError, "oracle_evolve needs times"),
+        (lambda: _oracle_trajectory(rho0="ab"), DimensionMismatch, "rho0 "),
+    ],
+    ids=[
+        "H", "K", "channel-l", "forces", "offset", "ragged-channel", "H-overflow",
+        "moment-times", "C0", "oracle-times", "rho0",
+    ],
+)
+def test_unconvertible_values_are_refused_by_name(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value).startswith(message)
 
 
 def test_bath_matrices_empty_channel_list():

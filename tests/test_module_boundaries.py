@@ -1,10 +1,12 @@
 """Each module of the package uses only the public names of the others.
 
 A ``_``-prefixed name is private to the module that defines it; a module
-that needs another's helper gets a public name for it.  Importing the
-package or its command line runs neither the oracle nor ``verify``.  scipy
-loads only in ``verify`` (the oracle) and on the Schur route of the
-Lyapunov solve, and no command imports ``scipy.optimize``.
+that needs another's helper gets a public name for it.  Every module loads
+when the package does, and none imports scipy at module level: scipy loads
+inside the functions that call it, the oracle's and the Schur route of the
+Lyapunov solve.  So importing the package or its command line loads no
+scipy, only ``verify`` among the commands (and ``ness`` or ``sweep`` on
+the Schur route) loads it, and no command imports ``scipy.optimize``.
 """
 
 import ast
@@ -43,17 +45,55 @@ def test_no_module_imports_another_modules_private_names():
     assert [hit for path in modules for hit in private_imports(path)] == []
 
 
-# the lazy modules are in sys.modules (bench/tracing.py looks every thirdq
-# module up there) but run only on first use
-LAZY_IMPORT_CHECK = """
-import sys, types
+def module_level_scipy_imports(path: pathlib.Path) -> list[str]:
+    """``file:line module`` of each scipy import that runs when a file loads.
+
+    A function body runs only when it is called, and an ``if TYPE_CHECKING:``
+    block never runs; everything else at module level, class bodies
+    included, runs on import.
+    """
+    found = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            return
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            names = []
+        found.extend(
+            f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] == "scipy"
+        )
+        type_checking = isinstance(node, ast.If) and ast.unparse(node.test) in (
+            "TYPE_CHECKING",
+            "typing.TYPE_CHECKING",
+        )
+        for child in node.orelse if type_checking else ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(path.read_text(), filename=str(path)))
+    return found
+
+
+def test_no_module_imports_scipy_at_module_level():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    assert [hit for path in modules for hit in module_level_scipy_imports(path)] == []
+
+
+# bench/tracing.py looks every thirdq module up in sys.modules; scipy loads
+# only when an oracle function first runs
+SCIPY_IMPORT_CHECK = """
+import sys
 import thirdq, thirdq.cli
-for name in ("thirdq.oracle", "thirdq.verify"):
-    assert type(sys.modules[name]) is not types.ModuleType, name + " ran on import"
-assert "scipy.sparse" not in sys.modules, "scipy.sparse loaded on import"
-assert "oracle_evolve" in dir(thirdq) and "run_verification" in thirdq.__all__
-from thirdq import oracle_evolve
-assert oracle_evolve.__module__ == "thirdq.oracle"
+loaded = [name for name in sys.modules if name.split(".")[0] == "scipy"]
+assert not loaded, "loaded on import: " + " ".join(loaded)
+assert "thirdq.oracle" in sys.modules and "thirdq.verify" in sys.modules
+missing = [name for name in thirdq.__all__ if not hasattr(thirdq, name)]
+assert not missing, "unresolved: " + " ".join(missing)
+thirdq.build_liouvillean_matrix(thirdq.validate_model(1, [[1.0]]), 2)
 assert "scipy.sparse" in sys.modules
 """
 
@@ -67,13 +107,12 @@ def run_fresh(code: str, *args: str, cwd=None) -> subprocess.CompletedProcess:
     )
 
 
-def test_imports_leave_the_oracle_unloaded_until_used():
-    result = run_fresh(LAZY_IMPORT_CHECK)
+def test_imports_leave_scipy_unloaded_until_used():
+    result = run_fresh(SCIPY_IMPORT_CHECK)
     assert result.returncode == 0, result.stderr
 
 
-# every exported or listed name resolves, the lazy ones through their module;
-# prints the names that do not
+# every exported or listed name resolves; prints the names that do not
 EXPORTS_RESOLVE = """
 import thirdq
 names = sorted(set(thirdq.__all__) | set(dir(thirdq)))
