@@ -8,7 +8,10 @@ header row, comma separator and LF line endings.  Both are made as pieces
 that :func:`emit` writes as they come, so no whole output text is held.
 Identical invocations produce byte-identical output:
 
-* floats are written in the shortest round-trip decimal form (``repr``);
+* floats are written exactly as ``repr`` writes them, in the shortest
+  round-trip decimal form.  Tables and report arrays are spelled a block at
+  a time: numpy finds the digits of each value it can certify, and ``repr``
+  spells the rest, so the bytes are those of ``repr`` either way;
 * negative zero is written ``0.0`` in ``[re, im]`` pairs and CSV cells, and
   keeps its sign in plain floats such as occupations;
 * non-finite values are ``NaN``, ``Infinity`` and ``-Infinity`` in JSON and
@@ -42,7 +45,6 @@ from .model import (
 # the most cells a dynamics or sweep table may hold: 0.8 GB as floats
 TABLE_LIMIT = 100_000_000
 _SLICE = 1 << 16  # characters passed to one write
-_BLOCK = 1 << 16  # table values converted to Python floats at once
 
 
 # ---------------------------------------------------------------------------
@@ -124,29 +126,259 @@ def fmt(x) -> str:
     return repr(float(x) + 0.0)
 
 
+# ---------------------------------------------------------------------------
+# float spelling
+#
+# _spell writes each float as ``repr`` does, a block of values at a time in
+# numpy.  A positive normal float is v = f 2^E with an integer f in
+# [2^52, 2^53).  With s chosen per E so that 2^52 2^E 10^s lies in
+# [10^16, 10^17), w = v 10^s lies in [10^16, 2 10^17), and the floats that
+# read back as v are those inside (w - d, w + u) in the same units, where u
+# is half the float spacing above v and d half the spacing below (a quarter
+# when f = 2^52).  repr writes the multiple of the largest power of ten
+# 10^k that lies in that interval, and of several such multiples the one
+# nearest w; its digits, followed by k - s, give the decimal exponent.
+#
+# w and both ends are found as double-doubles (Dekker, Numer. Math. 18:224,
+# 1971) from an exact 2^E 10^s, with an error below 2^-45 of a unit, and the
+# power of ten is found from their integer floors as in Ryu (Adams, PLDI
+# 2018).  A value whose w or either end lies within _MARGIN of an integer,
+# or whose w lies within _MARGIN of a half-integer, could have its floors or
+# its rounding decided by that error, and repr spells it, as it spells
+# subnormal and non-finite values.  Zeros are laid out as 0.0 directly.
+
+_SPELL = 1 << 12  # values spelled by one pass of _spell
+_MARGIN = 2.0**-32  # 2^13 times the double-double error
+_CELL = 48  # bytes of a spelled value, NUL-padded, the last for a separator
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+_VELTKAMP = 2.0**27 + 1  # splits a double into two halves of 26 bits
+
+# by biased exponent: 2^E 10^s as a double-double hi + lo, the Veltkamp
+# halves of hi, and s.  A row is made from integers when a value first
+# needs it; two threads filling one row write the same numbers, and a row
+# is marked only once it is written.
+_SCALE = np.ones((4, 2048))
+_SHIFT = np.zeros(2048, dtype=np.int64)
+_SCALED = np.zeros(2048, dtype=bool)
+
+
+def _scale_rows(exponents: np.ndarray) -> None:
+    """Fill the rows of ``_SCALE`` and ``_SHIFT`` for these biased exponents."""
+    for biased in exponents.tolist():
+        E = biased - 1075
+        # 2^52 2^E 10^s in [10^16, 10^17); tests/test_codec.py spells the
+        # power of two at the foot of every binade
+        s = math.ceil(16 - (52 + E) * math.log10(2))
+        num = 2 ** max(E, 0) * 10 ** max(s, 0)
+        den = 2 ** max(-E, 0) * 10 ** max(-s, 0)
+        hi = num / den  # int / int rounds correctly
+        hi_num, hi_den = hi.as_integer_ratio()
+        lo = (num * hi_den - hi_num * den) / (den * hi_den)
+        split = hi * _VELTKAMP
+        top = split - (split - hi)
+        _SCALE[:, biased] = hi, lo, top, hi - top
+        _SHIFT[biased] = s
+    _SCALED[exponents] = True
+
+
+def _word_table(rows: np.ndarray) -> np.ndarray:
+    """Rows of 8 bytes each as one uint64 word per row."""
+    return rows.view(np.uint64)[:, 0]
+
+
+def _speller_words() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 8-byte words a spelled value is assembled from.
+
+    A spelled value is six words.  Five hold 20 digits, each followed by a
+    slot for the decimal point: three zeros, then the value's 17 digits,
+    left-aligned.  The sixth holds the exponent suffix.  Digit words are
+    looked up four digits at a time, and a row of ``keep`` clears the digits
+    and points the layout does not show.  The six bytes of the three zeros
+    take the sign and the ``0.000`` prefix instead.
+    """
+    digits = np.full((10**4, 8), ord("."), dtype=np.uint8)
+    digits[:, ::2] = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + ord("0")
+    # suffixes e-324 .. e+308: "e", sign, two or three digits
+    e = np.arange(-324, 309)
+    wide = (e < -4) | (e >= 16)
+    hundreds, tens, ones = abs(e[wide]) // 100, abs(e[wide]) // 10 % 10, abs(e[wide]) % 10
+    suffix = np.zeros((e.size, 8), dtype=np.uint8)
+    suffix[wide, 0] = ord("e")
+    suffix[wide, 1] = np.where(e[wide] < 0, ord("-"), ord("+"))
+    suffix[wide, 2] = np.where(hundreds > 0, hundreds + ord("0"), 0)
+    suffix[wide, 3] = tens + ord("0")
+    suffix[wide, 4] = ones + ord("0")
+    words = np.concatenate([_word_table(digits), _word_table(suffix)])
+    # row 18 shown + point + 1 keeps the first `shown` digits, the point
+    # after digit `point` (none for -1), and the suffix word
+    slot = np.arange(40)
+    digit = slot // 2 - 3
+    row = np.arange(18 * 18)[:, None]
+    shown = np.where(slot % 2 == 0, digit < row // 18, digit == row % 18 - 1) & (digit >= 0)
+    keep = np.full((row.size, 48), 0xFF, dtype=np.uint8)
+    keep[:, :40] = shown * 0xFF
+    # row 8 neg + z: the sign, then for z > 0 the "0." and z - 1 zeros that
+    # lead a value of decimal exponent -z
+    z = np.arange(16)[:, None] % 8
+    prefix = np.zeros((16, 8), dtype=np.uint8)
+    prefix[8:, 0] = ord("-")
+    prefix[:, 1:6] = np.where((z > 0) & (z < 5) & (np.arange(5) < z + 1), ord("0"), 0)
+    prefix[(z[:, 0] > 0) & (z[:, 0] < 5), 2] = ord(".")
+    return words, keep.view(np.uint64), _word_table(prefix)
+
+
+_WORDS, _KEEP, _PREFIX = _speller_words()
+
+
+def _interval(x: np.ndarray) -> tuple:
+    """``W, U, D, frac, s, ok`` of each value of a float array.
+
+    W and frac are the floor and fraction of w, D + 1 .. U the integers
+    strictly inside the interval, and ok marks the normal values whose w
+    and ends the margins certify.
+    """
+    bits = x.view(np.uint64)
+    biased = (bits >> np.uint64(52) & np.uint64(0x7FF)).astype(np.intp)
+    ok = (biased > 0) & (biased < 0x7FF)
+    biased[~ok] = 1023  # any normal exponent: these values are spelled apart
+    scaled = _SCALED[biased]
+    if not scaled.all():
+        _scale_rows(np.unique(biased[~scaled]))
+    mantissa = bits & np.uint64(2**52 - 1)
+    below = np.where((mantissa == 0) & (biased > 1), 0.25, 0.5)
+    f = (mantissa | np.uint64(2**52)).astype(float)
+    hi, lo, hi_top, hi_bottom = _SCALE.take(biased, axis=1)
+    # w = p + low: Dekker's product of f and hi is p + err exactly
+    p = f * hi
+    split = f * _VELTKAMP
+    f_top = split - (split - f)
+    f_bottom = f - f_top
+    low = ((f_top * hi_top - p) + f_top * hi_bottom + f_bottom * hi_top) + f_bottom * hi_bottom
+    low += f * lo
+    # p >= 10^16 > 2^53 is an integer, so each floor is p plus that of a low part
+    base = p.astype(np.int64)
+    floors, fractions = [], []
+    for t in low, low + 0.5 * hi, low - below * hi:
+        t_floor = np.floor(t)
+        t -= t_floor
+        ok &= abs(t - 0.5) < 0.5 - _MARGIN
+        floors.append(base + t_floor.astype(np.int64))
+        fractions.append(t)
+    ok &= abs(fractions[0] - 0.5) > _MARGIN
+    return *floors, fractions[0], _SHIFT[biased], ok
+
+
+def _shortest(x: np.ndarray) -> tuple:
+    """``m, digits, e, ok``: repr's digits of each certified value of ``x``.
+
+    m is the integer of the digits, with no trailing zero, and e the
+    decimal exponent of its first digit; a zero has m = 0 and e = 0.  The
+    values ok does not mark are left to repr.
+    """
+    W, U, D, frac, s, ok = _interval(x)
+    # the largest 10^k up to U - D has a multiple among D + 1 .. U, and
+    # a + 1 .. b are the multiples' quotients
+    k = np.searchsorted(_POW10, U - D, "right") - 1
+    a, b = D // _POW10[k], U // _POW10[k]
+    # a multiple of 10^(k + 1) among them is the only one: strip its zeros
+    more = np.flatnonzero(b // 10 > a // 10)
+    while more.size:
+        a[more] //= 10
+        b[more] //= 10
+        k[more] += 1
+        more = more[b[more] // 10 > a[more] // 10]
+    # the multiple nearest w: no tie, w being no integer or half-integer
+    q = _POW10[k]
+    m = W // q
+    m += np.where(k == 0, frac > 0.5, W - m * q >= q // 2)
+    np.clip(m, a + 1, b, out=m)
+    digits = np.searchsorted(_POW10, m, "right")
+    e = digits - 1 + k - s
+    zero = x == 0
+    plain = zero | ~ok
+    m[plain] = 0
+    digits[plain] = 1
+    e[plain] = 0
+    return m, digits, e, ok | zero
+
+
+def _spell(values: np.ndarray, sep) -> str:
+    """Each float of ``values`` as ``repr`` spells it, followed by ``sep``.
+
+    ``sep`` is one byte value, or one per value.
+    """
+    x = np.ascontiguousarray(values, dtype=float)
+    m, digits, e, ok = _shortest(x)
+    # the digits left-aligned in 17, as five groups of four (the first has one)
+    m *= _POW10[17 - digits]
+    upper, lower = divmod(m, 10**8)
+    groups = np.empty((x.size, 6), dtype=np.intp)
+    groups[:, 0], middle = divmod(upper, 10**8)
+    groups[:, 1], groups[:, 2] = divmod(middle, 10**4)
+    groups[:, 3], groups[:, 4] = divmod(lower, 10**4)
+    groups[:, 5] = 10**4 + 324 + e
+    del m, upper, middle, lower
+    cells = _WORDS.take(groups)
+    del groups
+    # repr's layout: fixed notation for -4 <= e < 16, else d.ddde+XX
+    fixed = (e >= 0) & (e < 16)
+    shown = np.where(fixed, np.maximum(digits, e + 2), digits)
+    point = np.where(fixed, e, np.where((digits > 1) & ((e < -4) | (e >= 16)), 0, -1))
+    cells &= _KEEP.take(18 * shown + point + 1, axis=0)
+    negative = (x.view(np.uint64) >> np.uint64(63)).astype(np.intp)
+    cells[:, 0] |= _PREFIX[8 * negative + np.where((e < 0) & (e >= -4), -e, 0)]
+    cells = cells.view(np.uint8)
+    rest = np.flatnonzero(~ok)
+    if rest.size:
+        text = b"".join(repr(v).encode().ljust(_CELL, b"\0") for v in x[rest].tolist())
+        cells[rest] = np.frombuffer(text, dtype=np.uint8).reshape(rest.size, _CELL)
+    cells[:, -1] = sep
+    return cells.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def csv_lines(table: np.ndarray) -> Iterator[str]:
     """Each row of a float table as one CSV line, each value as :func:`fmt` writes it.
 
-    Rows become Python floats a block of about ``_BLOCK`` values at a time,
-    and a line is joined as its row is formatted, so one block's floats and
-    one row's strings are alive at a time.
+    The table is spelled by :func:`_spell`, ``_SPELL`` values at a time in
+    C order (a block may end mid-row), so one block's bytes and text are
+    alive at a time.  numpy spells the values it certifies and ``repr`` the
+    rest, with the bytes of :func:`fmt` for both.
     """
-    rows = _BLOCK // max(1, table.shape[1]) or 1
-    for start in range(0, len(table), rows):
-        for row in (table[start : start + rows] + 0.0).tolist():
-            yield ",".join(map(repr, row))
+    rows, cols = table.shape
+    if not cols:
+        yield from itertools.repeat("", rows)
+        return
+    size, pending = rows * cols, ""
+    for start in range(0, size, _SPELL):
+        stop = min(size, start + _SPELL)
+        first = start // cols
+        block = table[first : -(-stop // cols)].ravel()
+        block = block[start - first * cols : stop - first * cols] + 0.0
+        ends = np.arange(start, stop) % cols == cols - 1
+        lines = (pending + _spell(block, np.where(ends, ord("\n"), ord(",")))).split("\n")
+        pending = lines.pop()
+        yield from lines
 
 
 def index_lines(table: np.ndarray, top: int) -> Iterator[str]:
     """Each row of a table of integers 0..top as one CSV line, in decimal.
 
-    Rows are spelled a block at a time by indexing one array of the
-    ``top + 1`` digit strings, so one block's strings are alive at a time.
+    Each integer indexes one table of the NUL-padded digit strings of
+    0..top, each followed by a comma, and the NULs are deleted; rows are
+    spelled a block at a time.
     """
-    digits = np.array([str(k) for k in range(top + 1)], dtype=object)
-    block = 4096
-    for start in range(0, len(table), block):
-        yield from map(",".join, digits[table[start : start + block]].tolist())
+    width = len(str(top))
+    k = np.arange(top + 1)[:, None]
+    power = 10 ** np.arange(width - 1, -1, -1)
+    digits = np.zeros((top + 1, width + 1), dtype=np.uint8)
+    # leading zeros stay NUL; 0 keeps its last digit
+    digits[:, :width] = np.where((k >= power) | (power == 1), k // power % 10 + ord("0"), 0)
+    digits[:, width] = ord(",")
+    rows = max(1, _SPELL // max(1, table.shape[1]))
+    for start in range(0, len(table), rows):
+        cells = digits[table[start : start + rows]]
+        cells[:, -1, -1] = ord("\n")
+        yield from cells.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
 
 
 def _json(value) -> Iterator[str]:
@@ -192,7 +424,14 @@ def _spelled_layout(value) -> tuple[list, np.ndarray, np.ndarray]:
     # each distinct bit pattern is spelled once, so 0.0 and -0.0 stay apart
     bits, where = np.unique(floats.view(np.int64), return_inverse=True)
     values = bits.view(float)
-    spelled = np.array(list(map(repr, values.tolist())), dtype=object)
+    spelled = np.array(
+        [
+            text
+            for start in range(0, values.size, _SPELL)
+            for text in _spell(values[start : start + _SPELL], ord("\n")).split("\n")[:-1]
+        ],
+        dtype=object,
+    )
     # json spells these three floats differently from repr
     for i in np.flatnonzero(~np.isfinite(values)).tolist():
         spelled[i] = _JSON_NON_FINITE[spelled[i]]

@@ -120,6 +120,16 @@ def dense_chain_model(rng, n) -> BosonicModel:
     return validate_model(n, U.conj().T @ H @ U, U.T @ K @ U, channels)
 
 
+def forced_chain_document(rng, n) -> dict:
+    """The document of a :func:`dense_chain_model` driven by random forces."""
+    from thirdq.codec import model_to_document
+
+    chain = dense_chain_model(rng, n)
+    forces = rng.normal(size=n) + 1j * rng.normal(size=n)
+    channels = list(zip(chain.l, chain.k))
+    return model_to_document(validate_model(n, chain.H, chain.K, channels, forces=forces))
+
+
 def random_model(rng, n=None, max_channels=4, gain_scale=0.35, squeeze_scale=0.15):
     """A random valid model; loss-dominated so Stable instances are common."""
     if n is None:

@@ -19,6 +19,7 @@ from thirdq.codec import document_to_model, model_to_document
 from conftest import (
     UNPARSABLE_JSON,
     dense_chain_model,
+    forced_chain_document,
     load_schema,
     sec4_document,
     two_mode_document,
@@ -226,17 +227,10 @@ def test_dynamics_unstable_banner(tmp_path, capsys):
     assert all(b > a for a, b in zip(occ, occ[1:]))
 
 
-def _forced_chain_document(rng, n):
-    chain = dense_chain_model(rng, n)
-    forces = rng.normal(size=n) + 1j * rng.normal(size=n)
-    channels = list(zip(chain.l, chain.k))
-    return model_to_document(validate_model(n, chain.H, chain.K, channels, forces=forces))
-
-
 def test_dynamics_holds_one_step_of_its_moments(tmp_path, capsys, rng):
     # C on the whole grid, 1001 x 40 x 40 complex, would take 25.6 MB, more
     # than the CSV's 10 MB; the table of printed moments takes 3.9 MB
-    path = write_model(tmp_path, _forced_chain_document(rng, 20))
+    path = write_model(tmp_path, forced_chain_document(rng, 20))
     output = tmp_path / "dynamics.csv"
     argv = ["dynamics", "--model", path, "--t1", "10", "--output", str(output)]
     assert main(argv + ["--steps", "2"]) == 0  # imports load before the trace

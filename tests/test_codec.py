@@ -12,6 +12,7 @@ import math
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -25,11 +26,36 @@ from thirdq.ness import mean_source, moment_steps, physical_correlators
 from thirdq.spectral import liouville_spectrum, rapidities
 from thirdq.structure import build_structure
 
-from conftest import dense_chain_model, sec4_document, two_mode_document, write_model
+from conftest import (
+    dense_chain_model,
+    forced_chain_document,
+    sec4_document,
+    two_mode_document,
+    write_model,
+)
 
-# every float the spellings treat apart: signed zeros, subnormals, NaN, infinities
+
+def _neighbours(values):
+    """Each value with the floats on either side of it."""
+    return [y for x in values for y in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))]
+
+
+# the floats whose spelling is hardest to get right: each power of two (the
+# interval below it is half as wide as above), each power of ten and its
+# neighbours, the floats on either side of 2^53 (where the spacing grows
+# from 1 to 2), repr's switches between fixed and exponent notation, the
+# smallest subnormal, the smallest normal and the largest float
+EDGE_FLOATS = (
+    [2.0**k for k in range(-1074, 1024)]
+    + _neighbours([float(f"1e{k}") for k in range(-323, 309)])
+    + [2.0**53 - 1, 2.0**53 + 2]
+    + _neighbours([1e-5, 1e-4, 1e15, 1e16])
+    + [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+)
+# every float the spellings treat apart: signed zeros, subnormals, NaN,
+# infinities, and the edges above
 FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
-    [0.0, -0.0, 5e-324, -2.5e-310, 1e-7, 1e16, -math.inf, math.inf, math.nan]
+    [0.0, -0.0, 5e-324, -2.5e-310, 1e-7, 1e16, -math.inf, math.inf, math.nan] + EDGE_FLOATS
 )
 SHAPES = st.integers(1, 12).map(lambda n: (n, n)) | hnp.array_shapes(
     min_dims=1, max_dims=3, min_side=0, max_side=5
@@ -65,6 +91,28 @@ DOCUMENTS = st.recursive(
     | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=6,
 )
+
+
+def _spelled(values) -> list[str]:
+    """The speller's text of each value, in a block of at most ``_SPELL``."""
+    return codec._spell(np.asarray(values, dtype=float), ord("\n")).split("\n")[:-1]
+
+
+def test_speller_spells_edge_floats_as_repr():
+    values = EDGE_FLOATS + [-x for x in EDGE_FLOATS] + [0.0, -0.0, math.inf, -math.inf, math.nan]
+    for start in range(0, len(values), codec._SPELL):
+        block = values[start : start + codec._SPELL]
+        assert _spelled(block) == list(map(repr, block))
+
+
+def test_speller_spells_random_bit_patterns_as_repr():
+    # 2 * 10^5 uniform bit patterns: all signs and exponents, with NaN,
+    # infinities and subnormals among them
+    patterns = np.random.default_rng(30).integers(0, 2**64, 200_000, dtype=np.uint64)
+    values = patterns.view(float)
+    for start in range(0, values.size, codec._SPELL):
+        block = values[start : start + codec._SPELL]
+        assert _spelled(block) == list(map(repr, block.tolist()))
 
 
 def _expanded(value):
@@ -126,6 +174,17 @@ def test_report_writer_spells_repeated_and_signed_values_as_json():
     text = _written(doc)
     assert text == json.dumps(nested, indent=2)
     assert "-0.0" in text
+
+
+def test_report_writer_spells_many_distinct_floats_as_json(rng):
+    # 10,800 distinct floats of every size from 1e-30 to 1e30: three
+    # speller blocks and a part of a fourth
+    scale = 10.0 ** rng.integers(-30, 30, size=(60, 60))
+    doc = {
+        "real": rng.normal(size=(60, 60)) * scale,
+        "complex": (rng.normal(size=(60, 60)) + 1j * rng.normal(size=(60, 60))) * scale,
+    }
+    assert _written(doc) == json.dumps(_expanded(doc), indent=2)
 
 
 def test_report_writer_holds_one_block_of_rows(tmp_path, rng):
@@ -209,17 +268,51 @@ def test_dynamics_lines_match_the_per_value_table(tmp_path, capsys):
     assert lines[1:] == _dynamics_reference(model, np.linspace(0.0, 2.0, 9))
 
 
+def test_dynamics_lines_across_speller_blocks_match_the_per_value_table(tmp_path, capsys, rng):
+    # a forced 20-mode chain: 101 rows of 481 cells, 48,581 in all, so the
+    # speller's blocks of 4096 end mid-row
+    doc = forced_chain_document(rng, 20)
+    path = write_model(tmp_path, doc)
+    assert main(["dynamics", "--model", path, "--t1", "5", "--steps", "101"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 102 and len(lines[1].split(",")) == 481
+    assert codec._SPELL % 481 and 481 * 101 > 11 * codec._SPELL
+    model = document_to_model(doc)
+    assert lines[1:] == _dynamics_reference(model, np.linspace(0.0, 5.0, 101))
+
+
+def _spectrum_reference(doc, cutoff):
+    """The rows ``spectrum`` writes, cell by cell."""
+    struct = build_structure(document_to_model(doc))
+    modes = liouville_spectrum(rapidities(struct.X), cutoff)
+    return [
+        ",".join([str(mi) for mi in m] + [codec.fmt(lam.real), codec.fmt(lam.imag)])
+        for m, lam in zip(modes.m.tolist(), modes.lam)
+    ]
+
+
+def test_spectrum_lines_of_a_chain_match_the_per_value_table(tmp_path, capsys, rng):
+    # 861 rows of 40 indices: the index table is spelled in 9 blocks
+    doc = model_to_document(dense_chain_model(rng, 20))
+    assert main(["spectrum", "--model", write_model(tmp_path, doc), "-M", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 + math.comb(42, 2)
+    assert lines[1:] == _spectrum_reference(doc, 2)
+
+
+@pytest.mark.parametrize("top", [0, 1, 9, 10, 11, 99, 100, 12345])
+def test_index_lines_spell_each_integer_in_decimal(top):
+    table = np.random.default_rng(top).integers(0, top + 1, size=(3 * codec._SPELL // 7 + 5, 7))
+    table[0] = top
+    expected = [",".join(map(str, row)) for row in table.tolist()]
+    assert list(codec.index_lines(table, top)) == expected
+
+
 def test_spectrum_lines_match_the_per_value_table(tmp_path, capsys):
     for doc in (sec4_document(), two_mode_document()):
         assert main(["spectrum", "--model", write_model(tmp_path, doc), "-M", "3"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        struct = build_structure(document_to_model(doc))
-        modes = liouville_spectrum(rapidities(struct.X), 3)
-        expected = [
-            ",".join([str(mi) for mi in m] + [codec.fmt(lam.real), codec.fmt(lam.imag)])
-            for m, lam in zip(modes.m.tolist(), modes.lam)
-        ]
-        assert lines[1:] == expected
+        assert lines[1:] == _spectrum_reference(doc, 3)
 
 
 def _recursive_spectrum_lines(beta, cutoff):

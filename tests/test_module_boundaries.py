@@ -112,6 +112,26 @@ def test_imports_leave_scipy_unloaded_until_used():
     assert result.returncode == 0, result.stderr
 
 
+# the float speller makes its exact constants from ints: prints any of the
+# exact-arithmetic modules that importing the package, or spelling floats
+# of every size, loads
+EXACT_MODULES_LOADED = """
+import sys
+import numpy as np
+import thirdq, thirdq.cli
+from thirdq import codec
+loaded = [name for name in ("fractions", "decimal") if name in sys.modules]
+codec.emit(codec.csv_lines(np.array([[1e-300, 0.1, 1e300]])), sys.argv[1])
+print(" ".join(loaded + [name for name in ("fractions", "decimal") if name in sys.modules]))
+"""
+
+
+def test_imports_and_spelling_load_no_exact_arithmetic(tmp_path):
+    result = run_fresh(EXACT_MODULES_LOADED, str(tmp_path / "table.csv"))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == []
+
+
 # every exported or listed name resolves; prints the names that do not
 EXPORTS_RESOLVE = """
 import thirdq
