@@ -19,7 +19,6 @@ from .codec import (
     csv_table,
     document_to_model,
     emit,
-    fmt,
     index_lines,
     load_initial_state,
     load_model_document,
@@ -207,37 +206,39 @@ def cmd_sweep(args) -> int:
         raise SchemaError("--steps must be >= 1")
     if not (math.isfinite(args.start) and math.isfinite(args.stop)):
         raise SchemaError("--from and --to must be finite")
-    header = ["value", "min_re_beta", "stability", "gap"] + [
-        f"occ_{j + 1}" for j in range(n)
-    ]
-    require_table_size(args.steps, len(header))
+    require_table_size(args.steps, n + 4)
     grid = np.linspace(args.start, args.stop, args.steps)
 
-    rows = []
-    for value in grid:
+    # row i holds the value, min Re beta, the gap and the occupations of
+    # point i; a point that is not Stable leaves its gap and occupations 0
+    # and prints them blank
+    stability = []
+    for i, value in enumerate(grid):
         # in place: document_to_model copies every value it reads
         node[key] = float(value)
         model = document_to_model(doc, tol_input=args.tol)
+        if i == 0:  # sized by n only once the first point has checked n against H
+            table = np.zeros((grid.size, n + 3))
         struct = build_structure(model)
         spectrum = rapidities(struct.X, args.tol_marginal)
         require_diagonalizable(spectrum.cond_P)
-        stable = spectrum.stability is Stability.STABLE
-        row = [
-            fmt(value),
-            fmt(spectrum.beta.real.min()),
-            spectrum.stability.value,
-        ]
-        if stable:
+        table[i, :2] = value, spectrum.beta.real.min()
+        stability.append(spectrum.stability)
+        if spectrum.stability is Stability.STABLE:
             sol = solve(struct.X, struct.Y, spectrum)
-            corr = physical_correlators(sol.Z, model.n)
-            row.append(fmt(spectral_gap(spectrum)))
-            row.extend(fmt(x) for x in corr.occupations)
-        else:
-            row.append("")
-            row.extend("" for _ in range(model.n))
-        rows.append(",".join(row))
+            table[i, 2] = spectral_gap(spectrum)
+            table[i, 3:] = physical_correlators(sol.Z, n).occupations
 
-    emit(csv_table(header, rows), args.output)
+    blank = "," * n
+    cells = zip(csv_lines(table[:, :2]), csv_lines(table[:, 2:]), stability)
+    lines = (
+        f"{head},{word.value},{rest if word is Stability.STABLE else blank}"
+        for head, rest, word in cells
+    )
+    header = ["value", "min_re_beta", "stability", "gap"] + [
+        f"occ_{j + 1}" for j in range(n)
+    ]
+    emit(csv_table(header, lines), args.output)
     return 0
 
 

@@ -5,13 +5,15 @@ Model files are JSON documents with complex scalars encoded as two-element
 with a fixed key order, laid out as the ``json`` module lays them out at an
 indent of 2; bulk numeric output (spectrum, dynamics, sweep) is CSV with a
 header row, comma separator and LF line endings.  Both are made as pieces
-that :func:`emit` writes as they come, so no whole output text is held.
+of at most one spelled block or one CSV row, which :func:`emit` writes as
+they come, so no whole output text is held.
 Identical invocations produce byte-identical output:
 
 * floats are written exactly as ``repr`` writes them, in the shortest
-  round-trip decimal form.  Tables and report arrays are spelled a block at
-  a time: numpy finds the digits of each value it can certify, and ``repr``
-  spells the rest, so the bytes are those of ``repr`` either way;
+  round-trip decimal form.  Every table (spectrum, dynamics, sweep) and
+  every report array is spelled a block at a time: numpy finds the digits
+  of each value it can certify, and ``repr`` spells the rest, so the bytes
+  are those of ``repr`` either way;
 * negative zero is written ``0.0`` in ``[re, im]`` pairs and CSV cells, and
   keeps its sign in plain floats such as occupations;
 * non-finite values are ``NaN``, ``Infinity`` and ``-Infinity`` in JSON and
@@ -44,7 +46,6 @@ from .model import (
 
 # the most cells a dynamics or sweep table may hold: 0.8 GB as floats
 TABLE_LIMIT = 100_000_000
-_SLICE = 1 << 16  # characters passed to one write
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +123,7 @@ def _from_pair_matrix(obj, where: str) -> np.ndarray:
 
 
 def fmt(x) -> str:
-    # shortest round-trip decimal form; deterministic for a given value
+    # the tests' per-value reference: repr's shortest form, negative zero folded
     return repr(float(x) + 0.0)
 
 
@@ -339,25 +340,21 @@ def _spell(values: np.ndarray, sep) -> str:
 def csv_lines(table: np.ndarray) -> Iterator[str]:
     """Each row of a float table as one CSV line, each value as :func:`fmt` writes it.
 
-    The table is spelled by :func:`_spell`, ``_SPELL`` values at a time in
-    C order (a block may end mid-row), so one block's bytes and text are
-    alive at a time.  numpy spells the values it certifies and ``repr`` the
-    rest, with the bytes of :func:`fmt` for both.
+    The table is spelled by :func:`_spell` a block of whole rows at a time,
+    ``_SPELL // cols`` rows (one row when it is wider), so one block's bytes
+    and text are alive at a time.  numpy spells the values it certifies and
+    ``repr`` the rest, with the bytes of :func:`fmt` for both.
     """
     rows, cols = table.shape
     if not cols:
         yield from itertools.repeat("", rows)
         return
-    size, pending = rows * cols, ""
-    for start in range(0, size, _SPELL):
-        stop = min(size, start + _SPELL)
-        first = start // cols
-        block = table[first : -(-stop // cols)].ravel()
-        block = block[start - first * cols : stop - first * cols] + 0.0
-        ends = np.arange(start, stop) % cols == cols - 1
-        lines = (pending + _spell(block, np.where(ends, ord("\n"), ord(",")))).split("\n")
-        pending = lines.pop()
-        yield from lines
+    step = max(1, _SPELL // cols)
+    sep = np.full((step, cols), ord(","), dtype=np.uint8)
+    sep[:, -1] = ord("\n")
+    for start in range(0, rows, step):
+        block = (table[start : start + step] + 0.0).ravel()
+        yield from _spell(block, sep.ravel()[: block.size]).split("\n")[:-1]
 
 
 def index_lines(table: np.ndarray, top: int) -> Iterator[str]:
@@ -387,7 +384,7 @@ def _json(value) -> Iterator[str]:
     Keys are strings.  A float array is written as its nested list, a complex
     array as nested :func:`pairs`.  Each distinct float of the document's
     arrays is spelled once; then each array is written a block of rows of its
-    first axis at a time, from a ``%`` template of at least ``_SLOTS`` slots
+    first axis at a time, from a ``%`` template of at least ``_SPELL`` slots
     (fewer only in a short last block), so the spelled floats and one block
     are alive, never the whole text.
     """
@@ -404,7 +401,6 @@ def _json(value) -> Iterator[str]:
 
 
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_SLOTS = 1 << 12  # array values formatted by one % call
 
 
 def _spelled_layout(value) -> tuple[list, np.ndarray, np.ndarray]:
@@ -482,7 +478,7 @@ def _array_text(shape: tuple, level: int, spelled, where) -> Iterator[str]:
         row = "[" + pad + body + "\n" + "  " * (level + axis) + "]"
     sep = ",\n" + "  " * (level + 1)
     width = math.prod(shape[1:])
-    rows = -(-_SLOTS // width)
+    rows = -(-_SPELL // width)
     block = sep.join([row] * rows)
     yield "[" + sep[1:]
     for first in range(0, shape[0], rows):
@@ -608,14 +604,13 @@ def model_to_document(model: BosonicModel) -> dict:
 def emit(pieces: Iterable[str], output: str | None) -> None:
     """Write the pieces of a text in order to stdout or to the file ``output``.
 
-    Short pieces are joined and long ones cut into slices of about
-    ``_SLICE`` characters, so no write encodes more than a slice and the
-    whole text is never held at once.  An unwritable file, or a stdout
-    closed before the end, is bad input.
+    Each piece is written as it comes: the writers bound a piece by one
+    spelled block or one CSV row, so the whole text is never held at once.
+    An unwritable file, or a stdout closed before the end, is bad input.
     """
     if output is None:
         try:
-            sys.stdout.writelines(_slices(pieces))
+            sys.stdout.writelines(pieces)
             sys.stdout.flush()
         except BrokenPipeError:
             # the reader is gone (as with `| head -1`): send what stdout still
@@ -627,23 +622,9 @@ def emit(pieces: Iterable[str], output: str | None) -> None:
         return
     try:
         with open(output, "w", newline="") as fh:
-            fh.writelines(_slices(pieces))
+            fh.writelines(pieces)
     except OSError as e:
         raise InputError(f"cannot write output file {output}: {e}") from None
-
-
-def _slices(pieces: Iterable[str]) -> Iterator[str]:
-    """``pieces`` joined, in order, and cut into strings of about ``_SLICE`` characters."""
-    batch, size = [], 0
-    for piece in pieces:
-        batch.append(piece)
-        size += len(piece)
-        if size >= _SLICE:
-            text = "".join(batch)  # one piece is joined without a copy
-            for start in range(0, len(text), _SLICE):
-                yield text[start : start + _SLICE]
-            batch, size = [], 0
-    yield "".join(batch)
 
 
 def report(

@@ -68,10 +68,10 @@ TRACE_DRIFT_TOL = 1e-10  # max |tr rho(t) - tr rho0| of a trajectory, relative t
 MEMCAP_ENV = "THIRDQ_MEMCAP"
 
 
-def memcap_from_env(default: int = DEFAULT_MEMCAP) -> int:
+def memcap_from_env() -> int:
     raw = os.environ.get(MEMCAP_ENV)
     if raw is None:
-        return default
+        return DEFAULT_MEMCAP
     try:
         cap = int(raw)
     except ValueError:

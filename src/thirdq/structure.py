@@ -37,10 +37,6 @@ class StructureMatrices:
     Y: np.ndarray
     S0: complex
 
-    @property
-    def n(self) -> int:
-        return self.X.shape[0] // 2
-
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is refused below
 def build_structure(model: BosonicModel) -> StructureMatrices:

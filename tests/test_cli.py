@@ -12,9 +12,19 @@ import pytest
 import scipy.sparse.linalg
 
 import thirdq.oracle
-from thirdq import build_structure, mean_source, rapidities, steady_mean, validate_model
+from thirdq import (
+    Stability,
+    build_structure,
+    mean_source,
+    physical_correlators,
+    rapidities,
+    solve,
+    spectral_gap,
+    steady_mean,
+    validate_model,
+)
 from thirdq.cli import main
-from thirdq.codec import document_to_model, model_to_document
+from thirdq.codec import document_to_model, fmt, model_to_document
 
 from conftest import (
     UNPARSABLE_JSON,
@@ -85,6 +95,19 @@ def test_malformed_json_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "analyze", "--model", str(path))
     assert code == 2
     assert "line" in err and "column" in err
+
+
+@pytest.mark.parametrize("missing", ["model file", "initial-state file"])
+def test_missing_input_file_is_bad_input(tmp_path, capsys, missing):
+    path = write_model(tmp_path, sec4_document())
+    absent = str(tmp_path / "absent.json")
+    files = (absent, "vacuum") if missing == "model file" else (path, absent)
+    code, out, err = run_cli(
+        capsys, "dynamics", "--model", files[0], "--t1", "1", "--initial", files[1]
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {missing} {absent}: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_unwritable_output_is_bad_input(tmp_path, capsys):
@@ -276,6 +299,24 @@ def test_sweep_table_beyond_the_cell_limit_is_refused(tmp_path, capsys, rng):
     )
 
 
+def test_sweep_checks_n_against_h_before_sizing_anything_by_n(tmp_path, capsys):
+    # n = 10^6 with a 1x1 H: a header or table sized by n would take tens of
+    # MB, and seconds, before the first point refused the model
+    small = write_model(tmp_path, sec4_document(), name="small.json")
+    path = write_model(tmp_path, {"n": 1000000, "H": [[[1.0, 0.0]]], "channels": []})
+    grid = ["--param", "H.0.0.0", "--from", "0", "--to", "1", "--steps", "3"]
+    assert run_cli(capsys, "sweep", "--model", small, *grid)[0] == 0  # imports load first
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "sweep", "--model", path, *grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == "error: H must be 1000000x1000000, got (1, 1)\n"
+    assert peak < 5_000_000
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize(
     "command",
@@ -387,6 +428,36 @@ def test_sweep_stability_boundary(tmp_path, capsys):
     assert stab[idx - 1] == "Stable" and stab[idx + 1] == "Unstable"
     assert rows[idx][3] == ""  # no gap on the boundary
     assert rows[idx - 1][3] != ""
+
+
+@pytest.mark.parametrize(
+    "document, stop, steps, stabilities",
+    [
+        (sweep_family_document, 1.4, 141, {"Stable", "Marginal", "Unstable"}),
+        (two_mode_document, 1.2, 37, {"Stable", "Unstable"}),
+    ],
+    ids=["one-mode-family", "two-mode"],
+)
+def test_sweep_rows_match_the_per_value_table(tmp_path, capsys, document, stop, steps, stabilities):
+    # every cell as fmt spells it, and n + 1 blank cells where no steady
+    # state exists; the one-mode family meets Marginal exactly at 1.0
+    doc = document()
+    rows = _sweep_rows(capsys, write_model(tmp_path, doc), "channels.1.k.0.0", 0.0, stop, steps)
+    expected = []
+    for value in np.linspace(0.0, stop, steps):
+        doc["channels"][1]["k"][0][0] = float(value)
+        model = document_to_model(doc)
+        struct = build_structure(model)
+        spectrum = rapidities(struct.X)
+        row = [fmt(value), fmt(spectrum.beta.real.min()), spectrum.stability.value]
+        if spectrum.stability is Stability.STABLE:
+            corr = physical_correlators(solve(struct.X, struct.Y, spectrum).Z, model.n)
+            row += [fmt(spectral_gap(spectrum))] + [fmt(x) for x in corr.occupations]
+        else:
+            row += [""] * (model.n + 1)
+        expected.append(",".join(row))
+    assert rows == expected
+    assert {row.split(",")[2] for row in rows} == stabilities
 
 
 @pytest.mark.parametrize("stop", ["1.0", "2.0"])
@@ -717,28 +788,37 @@ def test_rapidity_reports_do_not_depend_on_blas_threads(tmp_path, argv):
 
 
 @pytest.mark.parametrize(
-    "command, chain, lines",
-    [("analyze", False, 0), ("ness", True, 1)],
-    ids=["closed-before-the-flush", "head-1"],
+    "argv, document, first",
+    [
+        (["analyze"], sec4_document, None),
+        (
+            ["ness"],
+            lambda: model_to_document(dense_chain_model(np.random.default_rng(1), 50)),
+            b"{\n",
+        ),
+        (
+            ["dynamics", "--t1", "10"],
+            lambda: forced_chain_document(np.random.default_rng(1), 50),
+            b"t,occ_1,occ_2,",
+        ),
+    ],
+    ids=["closed-before-the-flush", "head-1", "csv-head-1"],
 )
-def test_closed_stdout_is_one_error_line(tmp_path, command, chain, lines):
+def test_closed_stdout_is_one_error_line(tmp_path, argv, document, first):
     # a one-mode analyze report fits in stdout's buffer, so only the last
-    # flush meets the closed pipe; the 1.5 MB ness report of a 50-mode chain
-    # fills the pipe long before a reader that takes one line closes it
-    if chain:
-        doc = model_to_document(dense_chain_model(np.random.default_rng(1), 50))
-    else:
-        doc = sec4_document()
-    path = write_model(tmp_path, doc)
+    # flush meets the closed pipe; the 1.5 MB ness report and the 6 MB
+    # dynamics CSV of a 50-mode chain fill the pipe long before a reader
+    # that takes one line closes it
+    path = write_model(tmp_path, document())
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
     proc = subprocess.Popen(
-        [sys.executable, "-m", "thirdq.cli", command, "--model", path],
+        [sys.executable, "-m", "thirdq.cli", argv[0], "--model", path, *argv[1:]],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
-    for _ in range(lines):
-        assert proc.stdout.readline() == b"{\n"
+    if first is not None:
+        assert proc.stdout.readline().startswith(first)
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
@@ -992,6 +1072,28 @@ def test_sweep_signed_index_is_refused(tmp_path, capsys, param):
     assert code == 2
     assert out == ""
     assert "bad sweep path segment" in err
+
+
+@pytest.mark.parametrize(
+    "param, steps, message",
+    [
+        ("H.0.0.0", "0", "--steps must be >= 1"),
+        ("H.0.0.0.0", "2", "sweep path 'H.0.0.0.0' descends into a scalar"),
+        ("H.0.0", "2", "sweep path 'H.0.0' must address one real scalar"),
+        ("forces.0.0", "2", "bad sweep path segment 'forces' in 'forces.0.0'"),
+    ],
+    ids=["no-steps", "below-a-scalar", "a-pair", "absent-forces"],
+)
+def test_sweep_grid_or_path_that_addresses_no_scalar_is_refused(
+    tmp_path, capsys, param, steps, message
+):
+    path = write_model(tmp_path, sec4_document())  # a model without forces
+    code, out, err = run_cli(
+        capsys, "sweep", "--model", path, "--param", param,
+        "--from", "0", "--to", "0.5", "--steps", steps,
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -144,7 +144,7 @@ def _written(doc) -> str:
 @example({"a": np.array([0.1, 2.0]), "b": np.array([[2.0], [0.1]]), "c": 0.1})
 @example({"pos": np.array([0.0, 1.0]), "neg": np.array([-0.0]), "plain": -0.0})
 # a first axis of one row, and one longer than a block of rows
-@example({"one": np.array([[0.5, -1.0, 2.0]]), "long": np.arange(2.0 * codec._SLOTS + 3)})
+@example({"one": np.array([[0.5, -1.0, 2.0]]), "long": np.arange(2.0 * codec._SPELL + 3)})
 @example({"empty_rows": np.zeros((3, 0)), "scalar": np.array(-0.0)})
 @example([1.5, np.array([[1.0, 2.0], [3.0, 4.0]]), "after"])
 @example({"no": ["arrays", 1, None, {"here": -2.5}]})
@@ -216,6 +216,9 @@ def test_report_writer_holds_one_block_of_rows(tmp_path, rng):
 
 @settings(deadline=None)
 @given(arrays().filter(lambda a: a.ndim == 2 and not np.iscomplexobj(a)))
+# rows wider than a spelling block, and one column over several blocks
+@example(np.linspace(-1e-3, 1e20, 3 * (codec._SPELL + 5)).reshape(3, -1))
+@example(np.geomspace(1e-300, 1e300, 2 * codec._SPELL + 3)[:, None])
 def test_csv_lines_spell_each_value_as_fmt(table):
     expected = [",".join(codec.fmt(x) for x in row) for row in table]
     assert list(codec.csv_lines(table)) == expected
@@ -269,8 +272,8 @@ def test_dynamics_lines_match_the_per_value_table(tmp_path, capsys):
 
 
 def test_dynamics_lines_across_speller_blocks_match_the_per_value_table(tmp_path, capsys, rng):
-    # a forced 20-mode chain: 101 rows of 481 cells, 48,581 in all, so the
-    # speller's blocks of 4096 end mid-row
+    # a forced 20-mode chain: 101 rows of 481 cells, 48,581 in all, spelled
+    # in 13 blocks of 8 whole rows
     doc = forced_chain_document(rng, 20)
     path = write_model(tmp_path, doc)
     assert main(["dynamics", "--model", path, "--t1", "5", "--steps", "101"]) == 0

@@ -14,6 +14,8 @@ from thirdq import (
     solve_eigenbasis,
     solve_schur,
 )
+from thirdq.lyapunov import RESIDUAL_TOL
+from thirdq.spectral import COND_WARN
 
 from conftest import (
     NEAR_DEFECTIVE_R,
@@ -88,6 +90,20 @@ def test_near_defective_falls_back_to_schur():
     combined = solve(X, Y, sp)
     assert combined.method is Method.SCHUR
     assert combined.residual <= 1e-8
+
+
+def test_eigenbasis_residual_above_tolerance_falls_back_to_schur(rng):
+    # cond(P) = 2e4 passes the conditioning gate, but the eigenbasis route's
+    # residual of about 1e-8 misses RESIDUAL_TOL; the Schur route's 1e-15 wins
+    X = from_real_form([[1.0, 1.0], [0.0, 1.0 + 1e-4]])
+    A = rng.normal(size=(2, 2))
+    Y = (A + A.T).astype(complex)
+    sp = rapidities(X)
+    assert sp.cond_P < COND_WARN
+    assert solve_eigenbasis(X, Y, sp).residual > RESIDUAL_TOL
+    sol = solve(X, Y, sp)
+    assert sol.method is Method.SCHUR
+    assert sol.residual <= 1e-9
 
 
 def test_exceptional_point_model_uses_schur():

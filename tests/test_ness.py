@@ -75,6 +75,11 @@ def test_asymmetric_z_rejected():
         physical_correlators(np.array([[1e200, 3e200], [-1e200, 1e200]]), 1)
 
 
+def test_z_of_the_wrong_shape_is_refused():
+    with pytest.raises(AsymmetricZ, match=r"^Z must be 2x2, got \(4, 4\)$"):
+        physical_correlators(np.zeros((4, 4)), 1)
+
+
 def test_wick_reference_value():
     _, _, sol = _sec4_solution()
     # <a†a†aa> for the single mode: slots (a†, a†, a, a) = (1, 1, 0, 0)
@@ -327,6 +332,13 @@ def test_non_uniform_grid_is_bad_input():
     g, C0 = np.zeros(2), np.zeros((2, 2))
     with pytest.raises(InputError):
         list(moment_steps(struct.X, struct.Y, g, C0, np.ones(2), times))
+
+
+def test_empty_grid_is_bad_input():
+    struct, _, _ = _sec4_solution()
+    g, C0 = np.zeros(2), np.zeros((2, 2))
+    with pytest.raises(InputError, match="non-empty"):
+        list(moment_steps(struct.X, struct.Y, g, C0, np.ones(2), []))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

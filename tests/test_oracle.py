@@ -490,8 +490,8 @@ def test_krylov_stepper_holds_its_error_budget_near_the_steady_state():
 
 @pytest.mark.parametrize(
     "times",
-    [[1.0, 0.0], [-1.0, 0.0], [0.0, np.nan], [0.0, np.inf], [np.nan, np.nan]],
-    ids=["decreasing", "negative", "nan", "inf", "all-nan"],
+    [[1.0, 0.0], [-1.0, 0.0], [0.0, np.nan], [0.0, np.inf], [np.nan, np.nan], [0.0]],
+    ids=["decreasing", "negative", "nan", "inf", "all-nan", "one-time"],
 )
 def test_evolution_refuses_grid_it_cannot_evolve(times):
     lio = build_liouvillean_matrix(sec4_model(), 8)

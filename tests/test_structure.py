@@ -54,6 +54,11 @@ def test_realify_rejects_wrong_block_structure():
         realify(np.diag([1j, 1j]))
 
 
+def test_realify_rejects_an_odd_size():
+    with pytest.raises(NotRealSimilar, match="even-dimensional"):
+        realify(np.zeros((3, 3)))
+
+
 def test_realify_judges_entries_near_the_float_limit():
     # |A|_F overflows past about 1e154: the remainder is judged on A scaled
     # by a power of two, so a patterned matrix maps and a broken one is refused
