@@ -201,24 +201,26 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     doc, _ = load_model_document(args.model)
     node, key = resolve_sweep_path(doc, args.param)
-    n = int(doc["n"])
     if args.steps < 1:
         raise SchemaError("--steps must be >= 1")
     if not (math.isfinite(args.start) and math.isfinite(args.stop)):
         raise SchemaError("--from and --to must be finite")
+    # the table is sized by n only once the grid's first point has checked
+    # n against H; document_to_model copies every value it reads, so the
+    # document is edited in place
+    node[key] = float(args.start)
+    n = document_to_model(doc, tol_input=args.tol).n
     require_table_size(args.steps, n + 4)
     grid = np.linspace(args.start, args.stop, args.steps)
+    table = np.zeros((grid.size, n + 3))
 
     # row i holds the value, min Re beta, the gap and the occupations of
     # point i; a point that is not Stable leaves its gap and occupations 0
     # and prints them blank
     stability = []
     for i, value in enumerate(grid):
-        # in place: document_to_model copies every value it reads
         node[key] = float(value)
         model = document_to_model(doc, tol_input=args.tol)
-        if i == 0:  # sized by n only once the first point has checked n against H
-            table = np.zeros((grid.size, n + 3))
         struct = build_structure(model)
         spectrum = rapidities(struct.X, args.tol_marginal)
         require_diagonalizable(spectrum.cond_P)

@@ -39,8 +39,7 @@ from .errors import CapError, DimensionMismatch, InputError, SchemaError
 from .model import (
     DEFAULT_TOL_INPUT,
     BosonicModel,
-    as_complex_matrix,
-    as_complex_vector,
+    as_complex,
     validate_model,
 )
 
@@ -673,9 +672,9 @@ def load_initial_state(path: str, two_n: int) -> tuple[np.ndarray, np.ndarray]:
         raise SchemaError("initial-state file must be an object with a C0 matrix")
     _check_keys(doc, "initial-state file", ("C0",), ("C0", "m0"))
     # the shape and finiteness checks of model matrices
-    C0 = as_complex_matrix(_from_pair_matrix(doc["C0"], "C0"), two_n, "C0")
+    C0 = as_complex(_from_pair_matrix(doc["C0"], "C0"), (two_n, two_n), "C0")
     m0 = (
-        as_complex_vector(_from_pair_vector(doc["m0"], "m0"), two_n, "m0")
+        as_complex(_from_pair_vector(doc["m0"], "m0"), (two_n,), "m0")
         if "m0" in doc
         else np.zeros(two_n, dtype=complex)
     )

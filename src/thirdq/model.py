@@ -22,52 +22,44 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, HermiticityViolation, SymmetryViolation
+from .errors import DimensionMismatch, HermiticityViolation, InputError, SymmetryViolation
 
 DEFAULT_TOL_INPUT = 1e-9
 
 
-def as_complex_matrix(A, n, name):
-    """A copy of ``A`` as a finite complex n x n matrix, else :class:`DimensionMismatch`."""
+def as_complex(A, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """A copy of ``A`` as a finite complex array of ``shape``, else :class:`DimensionMismatch`."""
     try:
         A = np.array(A, dtype=complex)  # copy: the result may be frozen
     except (TypeError, ValueError, OverflowError):  # ragged, non-numeric, 10**400
         raise DimensionMismatch(f"{name} is not an array of numbers") from None
-    if A.shape != (n, n):
-        raise DimensionMismatch(f"{name} must be {n}x{n}, got {A.shape}")
+    if A.shape != shape:
+        want = f"be {'x'.join(map(str, shape))}" if len(shape) > 1 else f"have length {shape[0]}"
+        raise DimensionMismatch(f"{name} must {want}, got {A.shape}")
     if not np.all(np.isfinite(A.view(float))):
         raise DimensionMismatch(f"{name} contains non-finite entries")
     return A
 
 
-def as_complex_vector(v, n, name):
-    """A copy of ``v`` as a finite complex n-vector, else :class:`DimensionMismatch`."""
+def uniform_grid(times) -> tuple[np.ndarray, float]:
+    """A non-empty, non-negative, ascending, uniform grid and its step, else :class:`InputError`."""
     try:
-        v = np.array(v, dtype=complex)  # copy: the result may be frozen
-    except (TypeError, ValueError, OverflowError):  # ragged, non-numeric, 10**400
-        raise DimensionMismatch(f"{name} is not an array of numbers") from None
-    if v.shape != (n,):
-        raise DimensionMismatch(f"{name} must have length {n}, got {v.shape}")
-    if not np.all(np.isfinite(v.view(float))):
-        raise DimensionMismatch(f"{name} contains non-finite entries")
-    return v
-
-
-def _channel_rows(vectors: list, n: int) -> np.ndarray | None:
-    """A copy of ``vectors`` as the rows of a finite complex array, else None.
-
-    None means some vector is not a finite complex n-vector;
-    :func:`as_complex_vector` then names it.
-    """
-    if not vectors:
-        return np.empty((0, n), dtype=complex)
-    try:
-        rows = np.array(vectors, dtype=complex)
-    except (TypeError, ValueError, OverflowError):  # ragged, non-numeric, 10**400
-        return None
-    if rows.shape != (len(vectors), n) or not np.isfinite(rows.view(float)).all():
-        return None
-    return rows
+        times = np.asarray(times, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError("times must be an array of real numbers") from None
+    if times.ndim != 1 or times.size == 0:
+        raise InputError("times must be a non-empty 1-d array")
+    if not np.isfinite(times).all():
+        raise InputError("times must be finite")
+    if times[0] < 0:
+        raise InputError("times must be non-negative")
+    steps = np.diff(times)
+    if np.any(steps < 0):
+        raise InputError("times must be sorted ascending")
+    h = float(steps.mean()) if steps.size else 0.0
+    if np.abs(steps - h).max(initial=0.0) > 1e-9 * max(1.0, np.abs(times).max()):
+        raise InputError("times must form a uniform grid")
+    return times, h
 
 
 @dataclass(frozen=True)
@@ -150,8 +142,8 @@ def validate_model(
     """
     if n < 1:
         raise DimensionMismatch(f"n must be >= 1, got {n}")
-    H = as_complex_matrix(H, n, "H")
-    K = as_complex_matrix(K if K is not None else np.zeros((n, n)), n, "K")
+    H = as_complex(H, (n, n), "H")
+    K = as_complex(K if K is not None else np.zeros((n, n)), (n, n), "K")
 
     dev_h, too_large = deviation(H, H.conj().T, tol_input)
     if too_large:
@@ -171,14 +163,17 @@ def validate_model(
             raise DimensionMismatch(f"{name} overflows the float range when symmetrized")
 
     channels = list(channels)
-    ls, ks = [ch[0] for ch in channels], [ch[1] for ch in channels]
-    l_rows, k_rows = _channel_rows(ls, n), _channel_rows(ks, n)
-    if l_rows is None or k_rows is None:
+    shape = (len(channels), n)
+    try:
+        l_rows = as_complex([ch[0] for ch in channels] or np.empty(shape), shape, "channels")
+        k_rows = as_complex([ch[1] for ch in channels] or np.empty(shape), shape, "channels")
+    except DimensionMismatch:
         # stacking fails only on a vector that is not a finite complex
         # n-vector, and the per-channel walk names the first one
-        for i, (l, k) in enumerate(zip(ls, ks)):
-            as_complex_vector(l, n, f"channels[{i}].l")
-            as_complex_vector(k, n, f"channels[{i}].k")
+        for i, ch in enumerate(channels):
+            as_complex(ch[0], (n,), f"channels[{i}].l")
+            as_complex(ch[1], (n,), f"channels[{i}].k")
+        raise
     offsets = np.zeros(len(channels), dtype=complex)
     for i, ch in enumerate(channels):
         try:
@@ -187,7 +182,7 @@ def validate_model(
             raise DimensionMismatch(f"channels[{i}].offset is not a number") from None
         if not np.isfinite(offsets[i]):
             raise DimensionMismatch(f"channels[{i}].offset is not finite")
-    forces = as_complex_vector(forces if forces is not None else np.zeros(n), n, "forces")
+    forces = as_complex(forces if forces is not None else np.zeros(n), (n,), "forces")
 
     for A in (H, K, l_rows, k_rows, offsets, forces):
         A.setflags(write=False)

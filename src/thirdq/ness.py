@@ -51,8 +51,10 @@ from .errors import (
     NotStable,
     NumericalError,
 )
-from .model import BosonicModel, as_complex_matrix, as_complex_vector, deviation, float_scale
+from .model import BosonicModel, as_complex, deviation, float_scale, uniform_grid
 from .spectral import RapiditySpectrum, Stability
+
+Z_SYMMETRY_TOL = 1e-8  # |Z - Z^T|_F relative to max(1, |Z|_F)
 
 
 @dataclass(frozen=True)
@@ -66,12 +68,12 @@ class NessSolution:
     occupations: np.ndarray
 
 
-def physical_correlators(Z: np.ndarray, n: int, tol: float = 1e-8) -> NessSolution:
+def physical_correlators(Z: np.ndarray, n: int) -> NessSolution:
     """Slice Z into <a a>, <a† a>, <a† a†> blocks and mode occupations."""
     Z = np.asarray(Z, dtype=complex)
     if Z.shape != (2 * n, 2 * n):
         raise AsymmetricZ(f"Z must be {2 * n}x{2 * n}, got {Z.shape}")
-    dev, too_large = deviation(Z, Z.T, tol)
+    dev, too_large = deviation(Z, Z.T, Z_SYMMETRY_TOL)
     if too_large:
         raise AsymmetricZ(f"Z deviates from symmetry by {dev:.3e}")
     pair_aa = Z[:n, :n].copy()
@@ -143,27 +145,6 @@ def require_state_moments(C0: np.ndarray, m0: np.ndarray) -> None:
             "C0 is not the moments of any state: the matrix <b_i† b_j> of its "
             f"centred moments has the negative eigenvalue {float(low) * s:.3e}"
         )
-
-
-def _uniform_grid(times) -> tuple[np.ndarray, float]:
-    """Return a non-empty, non-negative, ascending, uniform grid and its step."""
-    try:
-        times = np.asarray(times, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise InputError("times must be an array of real numbers") from None
-    if times.ndim != 1 or times.size == 0:
-        raise InputError("times must be a non-empty 1-d array")
-    if not np.isfinite(times).all():
-        raise InputError("times must be finite")
-    if times[0] < 0:
-        raise InputError("times must be non-negative")
-    steps = np.diff(times)
-    if np.any(steps < 0):
-        raise InputError("times must be sorted ascending")
-    h = float(steps.mean()) if steps.size else 0.0
-    if np.abs(steps - h).max(initial=0.0) > 1e-9 * max(1.0, np.abs(times).max()):
-        raise InputError("times must form a uniform grid")
-    return times, h
 
 
 # (theta_m, b_0..b_m) for the diagonal Pade approximants of degree m = 3, 5,
@@ -277,10 +258,11 @@ def moment_steps(
     with np.errstate(over="ignore", invalid="ignore"):
         X = np.asarray(X, dtype=complex)
         Y = np.asarray(Y, dtype=complex)
-        times, h = _uniform_grid(times)
-        C = as_complex_matrix(C0, len(X), "C0")
-        m = as_complex_vector(m0, len(X), "m0")
-        g = as_complex_vector(g, len(X), "g")
+        times, h = uniform_grid(times)
+        two_n = len(X)
+        C = as_complex(C0, (two_n, two_n), "C0")
+        m = as_complex(m0, (two_n,), "m0")
+        g = as_complex(g, (two_n,), "g")
         dev, too_large = deviation(C, C.T, 1e-8)
         if too_large:
             raise NonSymmetricInitial(f"C0 deviates from symmetry by {dev:.3e}")

@@ -11,8 +11,8 @@ holds the identity also returns Ritz vectors, and its zero mode is the
 steady state.  Only a block too narrow for ARPACK is solved dense.  Time evolution steps the real
 coordinates across the time grid with an error-controlled Krylov
 exponential (Sidje's Expokit ``expv``), landing on every grid time.
-Nothing here shares code with the analytic pipeline, so agreement between
-the two certifies both.
+Nothing here shares code with the analytic pipeline but the input readers
+of :mod:`thirdq.model`, so agreement between the two certifies both.
 
 Vectorization convention, fixed project-wide: column stacking, so that
 vec(A rho B) = (B^T (x) A) vec(rho).  The generator of
@@ -52,7 +52,7 @@ from .errors import (
     NumericalError,
     TruncationInsufficient,
 )
-from .model import BosonicModel, as_complex_matrix
+from .model import BosonicModel, as_complex, uniform_grid
 
 if TYPE_CHECKING:  # annotations only: each function imports scipy where it calls it
     import scipy.sparse as sp
@@ -573,10 +573,9 @@ def oracle_evolve(lio: Liouvillean, rho0: np.ndarray, times) -> OracleTrajectory
     when rho0 is not Hermitian.  The blocks do not couple, so every other
     coordinate stays exactly zero.  One product with ``R`` reads the
     moments at every time.  A ``rho0`` that is not a finite matrix of the
-    right shape raises :class:`DimensionMismatch`; a grid that is not real
-    numbers, of fewer than two times, with a non-finite time, a first time
-    below zero, or steps that decrease or differ, raises
-    :class:`InputError`.  A trace that drifts from tr rho0 by
+    right shape raises :class:`DimensionMismatch`; a grid that
+    :func:`~thirdq.model.uniform_grid` refuses, or of fewer than two times,
+    raises :class:`InputError`.  A trace that drifts from tr rho0 by
     more than ``TRACE_DRIFT_TOL`` times |x0| at any time raises
     :class:`NumericalError`: once |lambda_0| t is not small, where lambda_0
     is the rounding-sized eigenvalue of ``M`` nearest zero, the rounding in
@@ -584,20 +583,10 @@ def oracle_evolve(lio: Liouvillean, rho0: np.ndarray, times) -> OracleTrajectory
     Returns normal-ordered covariance matrices, first moments and the trace
     at every time.
     """
-    rho0 = as_complex_matrix(rho0, lio.dim, "rho0")
-    try:
-        times = np.asarray(times, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise InputError("oracle_evolve needs times that are real numbers") from None
-    if times.ndim != 1 or times.size < 2:
+    rho0 = as_complex(rho0, (lio.dim, lio.dim), "rho0")
+    times, _ = uniform_grid(times)
+    if times.size < 2:
         raise InputError("oracle_evolve needs a grid of at least two times")
-    if not np.isfinite(times).all():
-        raise InputError("oracle_evolve needs finite times")
-    steps = np.diff(times)
-    if times[0] < 0 or (steps < 0).any():
-        raise InputError("oracle_evolve needs non-decreasing times from t >= 0")
-    if np.abs(steps - steps.mean()).max() > 1e-9 * max(1.0, np.abs(times).max()):
-        raise InputError("oracle_evolve needs a uniform time grid")
     x0 = lio.U.conj().T @ rho0.ravel(order="F")
     touched = [idx for idx in lio.blocks if x0[idx].any()]
     xs = np.zeros((times.size, x0.size), dtype=complex)

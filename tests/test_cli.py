@@ -199,6 +199,36 @@ def test_spectrum_cutoff_zero_and_counts(tmp_path, capsys):
     assert len(rows) == 6
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_spectrum_rows_are_the_rates_of_analyzes_rapidities(tmp_path, capsys, seed):
+    # bit for bit: lambda = -2 (m_1 beta_1 + (... + m_2n beta_2n)), summed
+    # from the last slot as liouville_spectrum sums, negative zero folded
+    model = dense_chain_model(np.random.default_rng(seed), 3)
+    path = write_model(tmp_path, model_to_document(model))
+    code, out, _ = run_cli(capsys, "analyze", "--model", path)
+    assert code == 0
+    beta = np.array([complex(*pair) for pair in json.loads(out)["results"]["rapidities"]])
+    code, out, _ = run_cli(capsys, "spectrum", "--model", path, "-M", "2")
+    assert code == 0
+    _, rows = parse_csv(out)
+    m = np.array([row[: beta.size] for row in rows], dtype=int)
+    printed = np.array([row[beta.size :] for row in rows], dtype=float)
+    dot = m[:, -1] * beta[-1]
+    for r in range(beta.size - 2, -1, -1):
+        dot = m[:, r] * beta[r] + dot
+    assert np.array_equal((-2.0 * dot).view(float).reshape(-1, 2) + 0.0, printed)
+
+
+def test_verify_and_ness_report_the_same_lyapunov_residual(tmp_path, capsys):
+    path = write_model(tmp_path, sec4_document())
+    code, out, _ = run_cli(capsys, "ness", "--model", path)
+    assert code == 0
+    residual = json.loads(out)["results"]["residual"]
+    code, out, _ = run_cli(capsys, "verify", "--model", path)
+    assert code == 0
+    assert json.loads(out)["results"]["lyapunov_residual"] == residual
+
+
 def test_spectrum_refuses_marginal(tmp_path, capsys):
     path = write_model(tmp_path, {"n": 1, "H": [[[1.0, 0.0]]], "channels": []})
     code, _, _ = run_cli(capsys, "spectrum", "--model", path, "--max-excitation", "1")
@@ -315,6 +345,10 @@ def test_sweep_checks_n_against_h_before_sizing_anything_by_n(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err == "error: H must be 1000000x1000000, got (1, 1)\n"
     assert peak < 5_000_000
+    # 200 rows of n + 4 columns pass the cell cap only at the n of H: the
+    # model is bad input, not a table too large
+    grid[-1] = "200"
+    assert run_cli(capsys, "sweep", "--model", path, *grid) == (2, "", err)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

@@ -179,3 +179,13 @@ def test_uncertified_solution_is_refused(rng):
     assert sol.method is Method.SCHUR and sol.residual > 0
     with pytest.raises(NumericalError):
         solve(X, Y, sp, residual_tol=sol.residual / 2)
+
+
+def test_sylvester_solver_rejecting_an_argument_is_a_numerical_error(monkeypatch):
+    # ztrsyl reports a bad argument as info < 0, with no solution to use
+    import scipy.linalg.lapack
+
+    monkeypatch.setattr(scipy.linalg.lapack, "ztrsyl", lambda A, B, C, **kw: (C, 1.0, -3))
+    struct, _ = _sec4()
+    with pytest.raises(NumericalError, match="ztrsyl rejected argument 3"):
+        solve_schur(struct.X, struct.Y)

@@ -161,7 +161,7 @@ def _model(n=1, H=((1.0,),), **kwargs):
         (lambda: _model(H=[[10**400]]), DimensionMismatch, "H "),
         (lambda: _first_moments(times=["a", "b"]), InputError, "times "),
         (lambda: _first_moments(C0="ab"), DimensionMismatch, "C0 "),
-        (lambda: _oracle_trajectory(times=["a", "b"]), InputError, "oracle_evolve needs times"),
+        (lambda: _oracle_trajectory(times=["a", "b"]), InputError, "times "),
         (lambda: _oracle_trajectory(rho0="ab"), DimensionMismatch, "rho0 "),
     ],
     ids=[
@@ -174,6 +174,23 @@ def test_unconvertible_values_are_refused_by_name(call, error, message):
         call()
     assert type(info.value) is error
     assert str(info.value).startswith(message)
+
+
+# the propagator and the oracle evolve on the same grid, so they read it by
+# one rule and refuse a bad one in the same words
+@pytest.mark.parametrize(
+    "times",
+    [["a", "b"], [0.0, np.nan], [-1.0, 0.0], [1.0, 0.0], [0.0, 0.1, 0.3]],
+    ids=["strings", "nan", "negative-start", "descending", "non-uniform"],
+)
+def test_moments_and_oracle_refuse_a_bad_grid_alike(times):
+    messages = []
+    for call in (_first_moments, _oracle_trajectory):
+        with pytest.raises(InputError) as info:
+            call(times=times)
+        assert type(info.value) is InputError
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
 
 
 def test_bath_matrices_empty_channel_list():

@@ -45,6 +45,30 @@ def test_no_module_imports_another_modules_private_names():
     assert [hit for path in modules for hit in private_imports(path)] == []
 
 
+def package_imports(path: pathlib.Path) -> set[str]:
+    """The package modules a file imports: ``model`` for ``.model`` or ``thirdq.model``."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.append(node.module)
+        elif isinstance(node, ast.ImportFrom):  # from .model import x, from . import model
+            names += [f"thirdq.{node.module or alias.name}" for alias in node.names]
+    # a bare thirdq is the package itself, which imports every module
+    return {
+        name.split(".")[1] if "." in name else name
+        for name in names
+        if name.split(".")[0] == "thirdq"
+    }
+
+
+def test_oracle_imports_only_errors_and_model_from_the_package():
+    # the oracle certifies the analytic modules, so it shares none of their
+    # code: only the error types and the input readers of thirdq.model
+    assert package_imports(PACKAGE / "oracle.py") == {"errors", "model"}
+
+
 def module_level_scipy_imports(path: pathlib.Path) -> list[str]:
     """``file:line module`` of each scipy import that runs when a file loads.
 

@@ -137,6 +137,21 @@ def test_zero_model_spectrum_and_degeneracy():
         oracle_steady_state(lio)
 
 
+def test_null_vector_of_vanishing_trace_is_refused(monkeypatch):
+    # the zero mode's Ritz vector with its trace projected out: it carries
+    # no state, however close its eigenvalue is to zero
+    slow_spectrum = thirdq.oracle._slow_spectrum
+
+    def traceless(lio, count, steady):
+        w, (lam, x) = slow_spectrum(lio, count, steady)
+        r = lio.R[[-1]].toarray().ravel()  # tr rho = r . x
+        return w, (lam, x - (r @ x) / (r @ r.conj()) * r.conj())
+
+    monkeypatch.setattr(thirdq.oracle, "_slow_spectrum", traceless)
+    with pytest.raises(DegenerateZeroEigenvalue, match="null vector has vanishing trace"):
+        oracle_steady_state(build_liouvillean_matrix(sec4_model(), 8))
+
+
 def test_truncation_gate_fires():
     with pytest.raises(TruncationInsufficient):
         oracle_steady_state(build_liouvillean_matrix(sec4_model(), 4))
