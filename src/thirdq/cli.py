@@ -17,6 +17,8 @@ import numpy as np
 from .codec import (
     csv_lines,
     csv_table,
+    decode_document,
+    decoded_to_model,
     document_to_model,
     emit,
     index_lines,
@@ -57,6 +59,16 @@ from .verify import run_verification
 def _load_model(args) -> tuple[BosonicModel, str]:
     doc, model_hash = load_model_document(args.model)
     return document_to_model(doc, tol_input=args.tol), model_hash
+
+
+def _check_grid(start: float, stop: float, steps: int, bounds: str) -> None:
+    """Refuse a grid of no steps, or whose ``bounds`` or span are not finite."""
+    if steps < 1:
+        raise SchemaError("--steps must be >= 1")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise SchemaError(f"{bounds} must be finite")
+    if not math.isfinite(stop - start):
+        raise SchemaError(f"{bounds} span more than the float range")
 
 
 def cmd_analyze(args) -> int:
@@ -142,10 +154,7 @@ def cmd_dynamics(args) -> int:
         for j in range(n):
             header += [f"re_mean_a_{j + 1}", f"im_mean_a_{j + 1}"]
 
-    if args.steps < 1:
-        raise SchemaError("--steps must be >= 1")
-    if not (math.isfinite(args.t0) and math.isfinite(args.t1)):
-        raise SchemaError("--t0 and --t1 must be finite")
+    _check_grid(args.t0, args.t1, args.steps, "--t0 and --t1")
     count = 1 if args.t1 == args.t0 else args.steps
     require_table_size(count, len(header))
     times = np.linspace(args.t0, args.t1, count)
@@ -201,15 +210,15 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     doc, _ = load_model_document(args.model)
     node, key = resolve_sweep_path(doc, args.param)
-    if args.steps < 1:
-        raise SchemaError("--steps must be >= 1")
-    if not (math.isfinite(args.start) and math.isfinite(args.stop)):
-        raise SchemaError("--from and --to must be finite")
-    # the table is sized by n only once the grid's first point has checked
-    # n against H; document_to_model copies every value it reads, so the
-    # document is edited in place
+    _check_grid(args.start, args.stop, args.steps, "--from and --to")
+    # the document is decoded once, at --from, so a swept entry out of the
+    # float range is never read; each point writes its value into the decoded
+    # arrays, which decoded_to_model copies, and the table is sized by n only
+    # once the first point has checked n against H
     node[key] = float(args.start)
-    n = document_to_model(doc, tol_input=args.tol).n
+    decoded = decode_document(doc)
+    node, key = resolve_sweep_path(decoded, args.param)
+    n = decoded_to_model(decoded, tol_input=args.tol).n
     require_table_size(args.steps, n + 4)
     grid = np.linspace(args.start, args.stop, args.steps)
     table = np.zeros((grid.size, n + 3))
@@ -219,8 +228,8 @@ def cmd_sweep(args) -> int:
     # and prints them blank
     stability = []
     for i, value in enumerate(grid):
-        node[key] = float(value)
-        model = document_to_model(doc, tol_input=args.tol)
+        node[key] = value
+        model = decoded_to_model(decoded, tol_input=args.tol)
         struct = build_structure(model)
         spectrum = rapidities(struct.X, args.tol_marginal)
         require_diagonalizable(spectrum.cond_P)
@@ -270,7 +279,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("--model", required=True, help="model JSON file")
         p.add_argument(
             "--tol",
@@ -285,17 +296,12 @@ def _build_parser() -> argparse.ArgumentParser:
             help="half-width of the Marginal stability band",
         )
         p.add_argument("--output", default=None, help="output path (default stdout)")
+        return p
 
-    p = sub.add_parser("analyze", help="rapidities, stability, spectral gap")
-    common(p)
-    p.set_defaults(func=cmd_analyze)
+    command("analyze", cmd_analyze, "rapidities, stability, spectral gap")
+    command("ness", cmd_ness, "steady-state correlator and occupations")
 
-    p = sub.add_parser("ness", help="steady-state correlator and occupations")
-    common(p)
-    p.set_defaults(func=cmd_ness)
-
-    p = sub.add_parser("spectrum", help="decay-mode spectrum as CSV")
-    common(p)
+    p = command("spectrum", cmd_spectrum, "decay-mode spectrum as CSV")
     p.add_argument(
         "--max-excitation",
         "-M",
@@ -303,10 +309,8 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="largest total multi-index excitation to enumerate",
     )
-    p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("dynamics", help="transient moment trajectories as CSV")
-    common(p)
+    p = command("dynamics", cmd_dynamics, "transient moment trajectories as CSV")
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--t1", type=float, required=True)
     p.add_argument("--steps", type=int, default=101)
@@ -315,10 +319,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default="vacuum",
         help="'vacuum' or a JSON file with C0 (and optional m0)",
     )
-    p.set_defaults(func=cmd_dynamics)
 
-    p = sub.add_parser("verify", help="cross-validate against the brute-force oracle")
-    common(p)
+    p = command("verify", cmd_verify, "cross-validate against the brute-force oracle")
     p.add_argument("--cutoff", type=int, default=None, help="Fock levels per mode")
     positive = _tolerance(positive=True)
     p.add_argument("--tol-moments", type=positive, default=1e-6)
@@ -326,15 +328,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-spectrum", type=positive, default=None)
     p.add_argument("--tol-trajectory", type=positive, default=None)
     p.add_argument("--trunc-tol", type=positive, default=None)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("sweep", help="scan one model scalar over a grid")
-    common(p)
+    p = command("sweep", cmd_sweep, "scan one model scalar over a grid")
     p.add_argument("--param", required=True, help="dotted path, e.g. channels.1.k.0.0")
     p.add_argument("--from", dest="start", type=float, required=True)
     p.add_argument("--to", dest="stop", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.set_defaults(func=cmd_sweep)
 
     return parser
 

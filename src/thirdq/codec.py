@@ -58,30 +58,13 @@ def pairs(z) -> np.ndarray:
     return np.stack([z.real, z.imag], axis=-1) + 0.0
 
 
-def _from_pair(obj, where: str, index: int | None = None) -> complex:
-    """Decode one [re, im] pair; errors name it ``where[index]``."""
-    problem = "expected a [re, im] pair"
-    if (
-        isinstance(obj, list)
-        and len(obj) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj)
-    ):
-        try:
-            return complex(obj[0], obj[1])
-        except OverflowError:
-            problem = "number outside the float range"
-    # formatted only on failure: a model file holds O(n^2) pairs
-    at = where if index is None else f"{where}[{index}]"
-    raise SchemaError(f"{at}: {problem}, got {obj!r}")
-
-
 def _bulk_pairs(obj: list, depth: int) -> np.ndarray | None:
     """Decode ``depth`` nested levels of lists of [re, im] pairs in one pass.
 
     Returns None on anything but a non-empty, rectangular nest whose leaves
-    are all ints or floats within the float range; the per-pair walk then
-    names the fault.  The leaf types are checked first because numpy would
-    convert ``True`` and ``"1"``.
+    are all ints or floats within the float range; the walk of
+    :func:`_pairs` then names the fault.  The leaf types are checked first
+    because numpy would convert ``True`` and ``"1"``.
     """
     leaves = obj
     for _ in range(depth):
@@ -99,26 +82,35 @@ def _bulk_pairs(obj: list, depth: int) -> np.ndarray | None:
     return arr.view(complex)[..., 0]
 
 
-def _from_pair_vector(obj, where: str) -> np.ndarray:
-    if not isinstance(obj, list):
-        raise SchemaError(f"{where}: expected an array of [re, im] pairs")
-    v = _bulk_pairs(obj, 1)
-    if v is not None:
-        return v
-    return np.array([_from_pair(x, where, j) for j, x in enumerate(obj)], dtype=complex)
+def _pairs(obj, depth: int, where: str) -> np.ndarray:
+    """Decode a nest of [re, im] pairs ``depth`` deep: 0 a pair, 1 a vector, 2 a matrix.
 
-
-def _from_pair_matrix(obj, where: str) -> np.ndarray:
-    if not isinstance(obj, list) or not obj:
-        raise SchemaError(f"{where}: expected a nested array of [re, im] pairs")
-    A = _bulk_pairs(obj, 2)
-    if A is not None:
-        return A
-    rows = [_from_pair_vector(row, f"{where}[{i}]") for i, row in enumerate(obj)]
-    width = {row.size for row in rows}
-    if len(width) != 1:
+    A well-formed nest is read in one pass; anything else is walked an
+    item at a time, and the walk names the first fault at ``where``, as
+    ``H[0][1]`` names a pair of ``H``.
+    """
+    if depth == 0:
+        problem = "expected a [re, im] pair"
+        if (
+            isinstance(obj, list)
+            and len(obj) == 2
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj)
+        ):
+            try:
+                return np.array(complex(obj[0], obj[1]))
+            except OverflowError:
+                problem = "number outside the float range"
+        raise SchemaError(f"{where}: {problem}, got {obj!r}")
+    if not isinstance(obj, list) or (depth == 2 and not obj):
+        nest = "a nested array" if depth == 2 else "an array"
+        raise SchemaError(f"{where}: expected {nest} of [re, im] pairs")
+    bulk = _bulk_pairs(obj, depth)
+    if bulk is not None:
+        return bulk
+    items = [_pairs(x, depth - 1, f"{where}[{i}]") for i, x in enumerate(obj)]
+    if len({item.shape for item in items}) > 1:
         raise DimensionMismatch(f"{where}: ragged rows")
-    return np.array(rows, dtype=complex)
+    return np.array(items, dtype=complex)
 
 
 def fmt(x) -> str:
@@ -534,8 +526,8 @@ def load_model_document(path: str) -> tuple[dict, str]:
     """Read and parse a model file; return the document and the SHA-256 of its bytes.
 
     Refuses with :class:`SchemaError` what ``model.schema.json`` refuses on
-    the keys, ``n`` and the ``channels`` array; :func:`document_to_model`
-    checks every pair, shape and value.
+    the keys, ``n`` and the ``channels`` array; :func:`decode_document`
+    checks every pair, and :func:`decoded_to_model` every shape and value.
     """
     doc, raw = _read_json(path, "model file")
     _check_keys(doc, "model", _MODEL_REQUIRED, _MODEL_KEYS)
@@ -550,37 +542,42 @@ def load_model_document(path: str) -> tuple[dict, str]:
     return doc, hashlib.sha256(raw).hexdigest()
 
 
-def _offset(ch: dict, i: int) -> complex:
-    return _from_pair(ch["offset"], f"channels[{i}].offset") if "offset" in ch else 0j
+def decode_document(doc: dict) -> dict:
+    """``doc`` with each [re, im] nest read into a complex array.
 
-
-def _channels(docs: list) -> list[tuple]:
-    """``(l, k, offset)`` of each channel document.
-
-    All ``l`` and all ``k`` are decoded as two stacked arrays; failing that,
-    the per-channel walk names the fault.
+    The layout stays, so a sweep path addresses the result too; an offset
+    is a 0-d array.  All ``l`` and all ``k`` are decoded as two stacked
+    arrays; failing that, each channel is walked in turn to name the fault.
     """
-    ls = _bulk_pairs([ch["l"] for ch in docs], 2)
-    ks = _bulk_pairs([ch["k"] for ch in docs], 2)
-    if ls is None or ks is None:
-        return [
-            (
-                _from_pair_vector(ch["l"], f"channels[{i}].l"),
-                _from_pair_vector(ch["k"], f"channels[{i}].k"),
-                _offset(ch, i),
-            )
-            for i, ch in enumerate(docs)
-        ]
-    return list(zip(ls, ks, (_offset(ch, i) for i, ch in enumerate(docs))))
+    decoded = {"n": int(doc["n"]), "H": _pairs(doc["H"], 2, "H")}
+    if "K" in doc:
+        decoded["K"] = _pairs(doc["K"], 2, "K")
+    docs = doc.get("channels", [])
+    ls, ks = (_bulk_pairs([ch[key] for ch in docs], 2) for key in ("l", "k"))
+    stacked = ls is not None and ks is not None
+    decoded["channels"] = []
+    for i, ch in enumerate(docs):
+        entry = {
+            "l": ls[i] if stacked else _pairs(ch["l"], 1, f"channels[{i}].l"),
+            "k": ks[i] if stacked else _pairs(ch["k"], 1, f"channels[{i}].k"),
+        }
+        if "offset" in ch:
+            entry["offset"] = _pairs(ch["offset"], 0, f"channels[{i}].offset")
+        decoded["channels"].append(entry)
+    if "forces" in doc:
+        decoded["forces"] = _pairs(doc["forces"], 1, "forces")
+    return decoded
+
+
+def decoded_to_model(decoded: dict, tol_input: float = DEFAULT_TOL_INPUT) -> BosonicModel:
+    """:func:`validate_model` of a :func:`decode_document` result, whose arrays it copies."""
+    H, K, forces = decoded["H"], decoded.get("K"), decoded.get("forces")
+    channels = [(ch["l"], ch["k"], ch.get("offset", 0j)) for ch in decoded["channels"]]
+    return validate_model(decoded["n"], H, K, channels, forces, tol_input=tol_input)
 
 
 def document_to_model(doc: dict, tol_input: float = DEFAULT_TOL_INPUT) -> BosonicModel:
-    n = int(doc["n"])
-    H = _from_pair_matrix(doc["H"], "H")
-    K = _from_pair_matrix(doc["K"], "K") if "K" in doc else None
-    channels = _channels(doc.get("channels", []))
-    forces = _from_pair_vector(doc["forces"], "forces") if "forces" in doc else None
-    return validate_model(n, H, K, channels, forces, tol_input=tol_input)
+    return decoded_to_model(decode_document(doc), tol_input)
 
 
 def model_to_document(model: BosonicModel) -> dict:
@@ -672,13 +669,9 @@ def load_initial_state(path: str, two_n: int) -> tuple[np.ndarray, np.ndarray]:
         raise SchemaError("initial-state file must be an object with a C0 matrix")
     _check_keys(doc, "initial-state file", ("C0",), ("C0", "m0"))
     # the shape and finiteness checks of model matrices
-    C0 = as_complex(_from_pair_matrix(doc["C0"], "C0"), (two_n, two_n), "C0")
-    m0 = (
-        as_complex(_from_pair_vector(doc["m0"], "m0"), (two_n,), "m0")
-        if "m0" in doc
-        else np.zeros(two_n, dtype=complex)
-    )
-    return C0, m0
+    C0 = as_complex(_pairs(doc["C0"], 2, "C0"), (two_n, two_n), "C0")
+    m0 = _pairs(doc["m0"], 1, "m0") if "m0" in doc else np.zeros(two_n)
+    return C0, as_complex(m0, (two_n,), "m0")
 
 
 # ---------------------------------------------------------------------------
@@ -686,10 +679,16 @@ def load_initial_state(path: str, two_n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def resolve_sweep_path(doc, path: str):
-    """Return the container and key of the real scalar a dotted path addresses."""
+    """Return the container and key of the real scalar a dotted path addresses.
+
+    In a :func:`decode_document` result a complex array stands for its
+    [re, im] pairs: the container is a float view, which writes through.
+    """
     node, key, value = None, None, doc
     for tok in path.split("."):
-        if isinstance(value, list):
+        if isinstance(value, np.ndarray) and value.dtype == complex:
+            value = value[..., None].view(float)
+        if isinstance(value, (list, np.ndarray)):
             # plain decimal indices only: no sign, space or leading zero
             if tok not in map(str, range(len(value))):
                 raise SchemaError(f"bad sweep path segment {tok!r} in {path!r}")

@@ -1,4 +1,6 @@
+import functools
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+import thirdq.cli
 import thirdq.oracle
 from thirdq import (
     Stability,
@@ -217,6 +220,31 @@ def test_spectrum_rows_are_the_rates_of_analyzes_rapidities(tmp_path, capsys, se
     for r in range(beta.size - 2, -1, -1):
         dot = m[:, r] * beta[r] + dot
     assert np.array_equal((-2.0 * dot).view(float).reshape(-1, 2) + 0.0, printed)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sweep_rows_are_analyze_and_ness_on_the_edited_document(tmp_path, capsys, seed):
+    # bit for bit: min Re beta from analyze's rapidities, its gap, and the
+    # occupations of ness, on the document edited to each grid value
+    doc = model_to_document(dense_chain_model(np.random.default_rng(seed), 3))
+    value = doc["H"][0][0][0]
+    rows = _sweep_rows(capsys, write_model(tmp_path, doc), "H.0.0.0", value, value + 0.2, 3)
+    for row, v in zip(rows, np.linspace(value, value + 0.2, 3)):
+        doc["H"][0][0][0] = float(v)
+        path = write_model(tmp_path, doc, name="edited.json")
+        code, out, _ = run_cli(capsys, "analyze", "--model", path)
+        assert code == 0
+        analyzed = json.loads(out)["results"]
+        code, out, _ = run_cli(capsys, "ness", "--model", path)
+        assert code == 0
+        occupations = json.loads(out)["results"]["occupations"]
+        min_re_beta = min(re for re, _ in analyzed["rapidities"])
+        cells = row.split(",")
+        assert cells[2] == analyzed["stability"] == "Stable"
+        assert [float(cells[0]), float(cells[1]), float(cells[3])] == [
+            float(v), min_re_beta, analyzed["spectral_gap"]
+        ]
+        assert [float(x) for x in cells[4:]] == occupations
 
 
 def test_verify_and_ness_report_the_same_lyapunov_residual(tmp_path, capsys):
@@ -477,9 +505,24 @@ def test_sweep_rows_match_the_per_value_table(tmp_path, capsys, document, stop, 
     # state exists; the one-mode family meets Marginal exactly at 1.0
     doc = document()
     rows = _sweep_rows(capsys, write_model(tmp_path, doc), "channels.1.k.0.0", 0.0, stop, steps)
+    expected = _per_value_rows(doc, "channels.1.k.0.0", np.linspace(0.0, stop, steps))
+    assert rows == expected
+    assert {row.split(",")[2] for row in rows} == stabilities
+
+
+def _entry(doc, param):
+    """The container and key of the scalar at the dotted path ``param``."""
+    *head, last = [int(tok) if tok.isdigit() else tok for tok in param.split(".")]
+    return functools.reduce(operator.getitem, head, doc), last
+
+
+def _per_value_rows(doc, param, values):
+    """The rows ``sweep`` writes, each from ``document_to_model`` of ``doc``
+    edited to its value, every cell as fmt spells it."""
+    node, last = _entry(doc, param)
     expected = []
-    for value in np.linspace(0.0, stop, steps):
-        doc["channels"][1]["k"][0][0] = float(value)
+    for value in values:
+        node[last] = float(value)
         model = document_to_model(doc)
         struct = build_structure(model)
         spectrum = rapidities(struct.X)
@@ -490,8 +533,53 @@ def test_sweep_rows_match_the_per_value_table(tmp_path, capsys, document, stop, 
         else:
             row += [""] * (model.n + 1)
         expected.append(",".join(row))
-    assert rows == expected
-    assert {row.split(",")[2] for row in rows} == stabilities
+    return expected
+
+
+def _repaired_two_mode_document():
+    """The two-mode model with K, forces and an offset; its H is Hermitian
+    only to 1e-13, so every point repairs it."""
+    doc = two_mode_document()
+    doc["H"][0][1][0] += 1e-13
+    doc["K"] = [[[0.02, 0.01], [0.005, 0.0]], [[0.005, 0.0], [0.03, -0.01]]]
+    doc["forces"] = [[0.2, -0.1], [0.0, 0.3]]
+    doc["channels"][0]["offset"] = [0.1, 0.05]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "param",
+    [
+        "H.0.0.0",
+        "K.0.0.1",
+        "forces.0.1",
+        "channels.0.l.0.0",
+        "channels.1.k.0.1",
+        "channels.0.offset.1",
+    ],
+)
+def test_sweep_rows_match_per_value_decoding_on_every_kind_of_path(tmp_path, capsys, param):
+    # one decoded entry is written per point: each row must still be the
+    # row of the whole document decoded at that value
+    doc = _repaired_two_mode_document()
+    assert document_to_model(doc).repaired
+    node, last = _entry(doc, param)
+    start = node[last] - 0.2
+    rows = _sweep_rows(capsys, write_model(tmp_path, doc), param, start, start + 0.6, 7)
+    assert rows == _per_value_rows(doc, param, np.linspace(start, start + 0.6, 7))
+
+
+@pytest.mark.parametrize("steps", [1, 24])
+def test_sweep_decodes_its_document_once(tmp_path, capsys, monkeypatch, steps):
+    decoded, whole = [], []
+    real = thirdq.cli.decode_document
+    monkeypatch.setattr(thirdq.cli, "decode_document", lambda doc: decoded.append(doc) or real(doc))
+    monkeypatch.setattr(thirdq.cli, "document_to_model", lambda *args, **kw: whole.append(args))
+    path = write_model(tmp_path, _repaired_two_mode_document())
+    rows = _sweep_rows(capsys, path, "H.0.0.0", 0.5, 1.5, steps)
+    assert len(rows) == steps
+    assert len(decoded) == 1
+    assert whole == []
 
 
 @pytest.mark.parametrize("stop", ["1.0", "2.0"])
@@ -1321,6 +1409,27 @@ def test_sweep_non_finite_bound_is_refused(tmp_path, capsys, flag, value):
     assert code == 2
     assert out == ""
     assert err == "error: --from and --to must be finite\n"
+
+
+@pytest.mark.parametrize(
+    "argv, bounds",
+    [
+        (("dynamics", "--t0=-1e308", "--t1", "1e308"), "--t0 and --t1"),
+        (("sweep", "--param", "forces.0.0", "--from=-1e308", "--to", "1e308"), "--from and --to"),
+    ],
+    ids=["dynamics", "sweep"],
+)
+def test_a_grid_span_beyond_the_float_range_is_refused(tmp_path, capsys, argv, bounds):
+    # both bounds are finite, but np.linspace would overflow in their
+    # difference and warn before any later refusal
+    doc = sec4_document()
+    doc["forces"] = [[0.0, 0.0]]
+    path = write_model(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, argv[0], "--model", path, *argv[1:], "--steps", "3")
+    assert (code, out) == (2, "")
+    assert err == f"error: {bounds} span more than the float range\n"
 
 
 def test_entries_past_1e154_run_without_a_warning(tmp_path, capsys):

@@ -236,8 +236,9 @@ def test_pair_decoding_matches_the_per_pair_walk(pairs):
     nest = pairs.tolist()
     expected = np.array([[complex(re, im) for re, im in row] for row in nest])
     # bytes, so that signed zeros, infinities and NaN compare exactly
-    assert codec._from_pair_matrix(nest, "H").tobytes() == expected.tobytes()
-    assert codec._from_pair_vector(nest[0], "l").tobytes() == expected[0].tobytes()
+    assert codec._pairs(nest, 2, "H").tobytes() == expected.tobytes()
+    assert codec._pairs(nest[0], 1, "l").tobytes() == expected[0].tobytes()
+    assert codec._pairs(nest[0][0], 0, "offset").tobytes() == expected[0, 0].tobytes()
 
 
 def _dynamics_reference(model, times):

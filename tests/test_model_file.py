@@ -250,13 +250,14 @@ def test_deep_schema_valid_faults_are_bad_input(tmp_path, capsys, doc, where):
 
 def test_well_formed_arrays_skip_the_per_pair_walk(tmp_path, monkeypatch):
     walked = []
-    real = codec._from_pair
+    real = codec._pairs
 
-    def counting(obj, where, index=None):
-        walked.append(where)
-        return real(obj, where, index)
+    def counting(obj, depth, where):
+        if depth == 0:  # one pair: the walk's leaf
+            walked.append(where)
+        return real(obj, depth, where)
 
-    monkeypatch.setattr(codec, "_from_pair", counting)
+    monkeypatch.setattr(codec, "_pairs", counting)
     doc = _wide("H", 0, 0, value=[1.0, 0.0])
     doc["K"] = [[[0, 0]] * 30] * 30  # JSON integers decode as well
     doc["forces"] = [[0.2, 0.1]] * 30
